@@ -40,13 +40,9 @@ int main(int argc, char** argv) {
       if (config.arrivals_per_second <= 0.0) {
         config.arrivals_per_second = 100000.0;
       }
-    } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      config.front_end_shards =
-          static_cast<uint32_t>(std::atoi(argv[++i]));
-      if (config.front_end_shards == 0) config.front_end_shards = 1;
     } else {
       std::cerr << "usage: bench_serving [--fast|--full] [--clients N] "
-                   "[--rate ARRIVALS_PER_S] [--shards N]\n";
+                   "[--rate ARRIVALS_PER_S]\n";
       return 2;
     }
   }

@@ -90,13 +90,11 @@ ServingScenarioResult RunServingScenario(const ServingScenarioConfig& config) {
   opts.loom.partitioner.window_size = config.window_size;
   opts.loom.matcher.frequency_threshold = config.frequency_threshold;
   opts.num_labels = 4;
-  opts.front_end_shards = config.front_end_shards;
   opts.publish_every_batches = config.publish_every_batches;
   opts.drift_check_every_queries = config.drift_check_every_queries;
   opts.tracker.window_queries = config.tracker_window;
   opts.drift.max_migration_fraction = config.max_migration_fraction;
   opts.drift.reaction_passes = config.reaction_passes;
-  opts.drift.reaction_shards = config.reaction_shards;
   opts.drift.seed = config.seed;
 
   const std::vector<VertexArrival>& arrivals = stream.arrivals();
@@ -126,6 +124,10 @@ ServingScenarioResult RunServingScenario(const ServingScenarioConfig& config) {
     clients.emplace_back([&, c] {
       Rng crng(config.seed + 101 + c);
       ClientLog& log = logs[c];
+      // Drift checks are skipped while a reaction is queued or running, so
+      // the clients stop observing then and issue only the lock-free reads:
+      // none of them waits on the tracker lock through the reaction.
+      bool reaction_outstanding = false;
       while (!stop.load(std::memory_order_acquire)) {
         const Workload& w = phase_b.load(std::memory_order_acquire)
                                 ? workload_b
@@ -142,9 +144,11 @@ ServingScenarioResult RunServingScenario(const ServingScenarioConfig& config) {
           const Clock::time_point begin = Clock::now();
           (void)service.Touches(pattern);
           log.touches_seconds.push_back(SecondsSince(begin));
-          (void)service.ObserveQuery(pattern);
+          if (!reaction_outstanding) (void)service.ObserveQuery(pattern);
         }
-        if (service.Stats().reaction_running) ++log.during_reaction;
+        const ServiceStats stats = service.Stats();
+        if (stats.reaction_running) ++log.during_reaction;
+        reaction_outstanding = stats.drift_fires > stats.drift_reactions;
       }
     });
   }

@@ -1,6 +1,7 @@
 #include "serving/service.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "core/loom.h"
@@ -26,10 +27,6 @@ Status ValidateServiceOptions(const ServiceOptions& options) {
     return Status::InvalidArgument(
         "ServiceOptions.publish_every_batches must be >= 1");
   }
-  if (options.front_end_shards == 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions.front_end_shards must be >= 1");
-  }
   if (options.tracker.window_queries == 0) {
     return Status::InvalidArgument(
         "ServiceOptions.tracker.window_queries must be >= 1");
@@ -44,7 +41,6 @@ ServiceOptions SanitizeServiceOptions(ServiceOptions options) {
     options.drift_check_every_queries = 1;
   }
   if (options.publish_every_batches == 0) options.publish_every_batches = 1;
-  if (options.front_end_shards == 0) options.front_end_shards = 1;
   if (options.tracker.window_queries == 0) options.tracker.window_queries = 1;
   options.drift = SanitizeDriftControllerOptions(options.drift);
   return options;
@@ -100,69 +96,58 @@ Service::Service(ServiceOptions options, uint32_t num_labels,
       trie_(std::move(trie)),
       partitioner_(std::move(partitioner)),
       tracker_(num_labels, options_.tracker),
-      controller_(options_.drift),
-      front_pool_(options_.front_end_shards > 1
-                      ? std::make_unique<ThreadPool>(options_.front_end_shards)
-                      : nullptr),
-      pipeline_(1) {
+      controller_(options_.drift) {
   loom_ = dynamic_cast<LoomPartitioner*>(partitioner_.get());
   controller_.SetReference(std::move(reference));
   // Publish the empty epoch-0 snapshot before any caller thread exists, so
   // reads are valid from the first instant.
   PublishSnapshot();
+  pipeline_ = std::thread([this] { PipelineLoop(); });
 }
 
-Service::~Service() = default;
+Service::~Service() {
+  // Drain the queued tasks and join the worker before any member they
+  // reference is destroyed.
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stopping_ = true;
+  }
+  queue_cv_.notify_one();
+  pipeline_.join();
+}
+
+void Service::PipelineLoop() {
+  for (;;) {
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(queue_mu_);
+      queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      if (queue_.empty()) return;  // stopping, queue drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
+    }
+    task();
+  }
+}
 
 template <typename F>
 void Service::EnqueuePipelineTask(F&& task) {
-  // Caller holds producer_mu_.
+  // Caller holds producer_mu_. A reaction task owns its drifted trie (move
+  // only), so the body sits behind a shared_ptr to fit std::function.
   ++tasks_enqueued_;
-  pipeline_.Submit([this, t = std::forward<F>(task)]() mutable {
-    t();
-    {
-      std::lock_guard<std::mutex> lock(flush_mu_);
-      tasks_done_.fetch_add(1, std::memory_order_release);
-    }
-    flush_cv_.notify_all();
-  });
-}
-
-Status Service::ValidateBatch(const VertexArrival* arrivals,
-                              size_t count) const {
-  const uint32_t shards = options_.front_end_shards;
-  if (shards <= 1 || front_pool_ == nullptr) {
-    for (size_t i = 0; i < count; ++i) {
-      LOOM_RETURN_IF_ERROR(ValidateArrival(arrivals[i]));
-    }
-    return Status::OK();
-  }
-  // Vertex-sharded fan-out: shard s checks the arrivals whose vertex falls
-  // in its residue class. Each shard reports the smallest bad index it saw;
-  // the combined verdict is the overall first bad arrival, so the result is
-  // independent of shard scheduling (and identical to the serial scan).
-  std::vector<size_t> first_bad(shards, count);
-  std::vector<Status> shard_error(shards, Status::OK());
-  ParallelFor(*front_pool_, shards, [&](size_t shard) {
-    for (size_t i = 0; i < count; ++i) {
-      if (arrivals[i].vertex % shards != shard) continue;
-      Status status = ValidateArrival(arrivals[i]);
-      if (!status.ok()) {
-        first_bad[shard] = i;
-        shard_error[shard] = std::move(status);
-        return;
+  auto body = std::make_shared<std::decay_t<F>>(std::forward<F>(task));
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    queue_.push_back([this, body] {
+      (*body)();
+      {
+        std::lock_guard<std::mutex> lock(flush_mu_);
+        tasks_done_.fetch_add(1, std::memory_order_release);
       }
-    }
-  });
-  size_t best = count;
-  Status verdict = Status::OK();
-  for (uint32_t shard = 0; shard < shards; ++shard) {
-    if (first_bad[shard] < best) {
-      best = first_bad[shard];
-      verdict = shard_error[shard];
-    }
+      flush_cv_.notify_all();
+    });
   }
-  return verdict;
+  queue_cv_.notify_one();
 }
 
 Status Service::Ingest(const VertexArrival* arrivals, size_t count) {
@@ -170,7 +155,10 @@ Status Service::Ingest(const VertexArrival* arrivals, size_t count) {
   if (arrivals == nullptr) {
     return Status::InvalidArgument("Ingest: null arrivals with count > 0");
   }
-  Status valid = ValidateBatch(arrivals, count);
+  Status valid = Status::OK();
+  for (size_t i = 0; i < count && valid.ok(); ++i) {
+    valid = ValidateArrival(arrivals[i]);
+  }
   if (!valid.ok()) {
     rejected_batches_.fetch_add(1, std::memory_order_relaxed);
     return valid;
@@ -239,21 +227,31 @@ std::vector<uint32_t> Service::Touches(const LabeledGraph& query) const {
 }
 
 Status Service::ObserveQuery(const LabeledGraph& query) {
-  std::lock_guard<std::mutex> lock(tracker_mu_);
-  LOOM_RETURN_IF_ERROR(tracker_.Observe(query));
-  const uint64_t observed =
-      observed_queries_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (!options_.enable_drift_reactions) return Status::OK();
-  if (observed % options_.drift_check_every_queries != 0) return Status::OK();
-  // While a reaction is pending the controller belongs to the pipeline
-  // thread — skip the check entirely (see the tracker_mu_ comment).
-  if (reaction_pending_.load(std::memory_order_acquire)) return Status::OK();
-  drift_checks_.fetch_add(1, std::memory_order_relaxed);
-  MotifDistribution current = tracker_.SupportDistribution();
-  const DriftSignal signal = controller_.Check(current);
-  if (!signal.fired) return Status::OK();
-  auto drifted = std::make_unique<TpstryPP>(tracker_.Snapshot());
-  reaction_pending_.store(true, std::memory_order_release);
+  MotifDistribution current;
+  std::unique_ptr<TpstryPP> drifted;
+  {
+    std::lock_guard<std::mutex> lock(tracker_mu_);
+    LOOM_RETURN_IF_ERROR(tracker_.Observe(query));
+    const uint64_t observed =
+        observed_queries_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (!options_.enable_drift_reactions) return Status::OK();
+    if (observed % options_.drift_check_every_queries != 0) {
+      return Status::OK();
+    }
+    // While a reaction is pending the controller belongs to the pipeline
+    // thread — skip the check entirely (see the tracker_mu_ comment).
+    if (reaction_pending_.load(std::memory_order_acquire)) {
+      return Status::OK();
+    }
+    drift_checks_.fetch_add(1, std::memory_order_relaxed);
+    current = tracker_.SupportDistribution();
+    const DriftSignal signal = controller_.Check(current);
+    if (!signal.fired) return Status::OK();
+    drifted = std::make_unique<TpstryPP>(tracker_.Snapshot());
+    reaction_pending_.store(true, std::memory_order_release);
+  }
+  // The tracker lock is released before waking the pipeline worker, so a
+  // caller preempted by the reaction never holds other observers up.
   std::lock_guard<std::mutex> plock(producer_mu_);
   if (sealed_) {
     reaction_pending_.store(false, std::memory_order_release);

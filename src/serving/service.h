@@ -9,10 +9,10 @@
 ///
 /// Threading model:
 ///
-///  * **Ingest** (`Ingest`, any thread): arrivals are validated on a
-///    vertex-sharded front end, then handed to a single pipeline worker
-///    (SPSC: producers serialise on a mutex, one `ThreadPool(1)` consumes
-///    FIFO) that drives the streaming partitioner, records the live stream
+///  * **Ingest** (`Ingest`, any thread): arrivals are validated on the
+///    calling thread, then handed to a single pipeline worker (SPSC:
+///    producers serialise on a mutex, one worker thread consumes FIFO)
+///    that drives the streaming partitioner, records the live stream
 ///    for later replay, and publishes placement snapshots. Batches are
 ///    processed strictly in submission order, so batched ingest through one
 ///    worker is result-identical to the serial pipeline on the same stream.
@@ -28,7 +28,7 @@
 ///    the summary against the expectation the live placement was built for.
 ///    On a confirmed fire the service enqueues a *reaction task* onto the
 ///    pipeline worker: re-point LOOM at the drifted summary, run the
-///    bounded-migration sharded restream reaction (PR 5's engine) against
+///    bounded-migration restream reaction (`DriftController::React`) against
 ///    the recorded stream, adopt the keep-best result, and publish a fresh
 ///    snapshot atomically. Reads continue un-blocked throughout; ingest
 ///    batches queue behind the reaction (FIFO) and resume after it.
@@ -41,14 +41,16 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/result.h"
 #include "common/snapshot.h"
-#include "common/thread_pool.h"
 #include "core/loom_partitioner.h"
 #include "drift/drift_controller.h"
 #include "partition/partitioner.h"
@@ -68,7 +70,7 @@ struct ServiceStats {
   // --- ingest ---
   uint64_t ingested_vertices = 0;
   uint64_t ingested_batches = 0;
-  /// Batches rejected by front-end validation (nothing partial is applied).
+  /// Batches rejected by validation (nothing partial is applied).
   uint64_t rejected_batches = 0;
 
   // --- queries ---
@@ -121,9 +123,9 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   /// Ingests one batch of arrivals (the span is copied before return).
-  /// The batch is validated on the front end — an invalid vertex id or a
-  /// self-loop back edge rejects the WHOLE batch with InvalidArgument and
-  /// applies nothing — then enqueued for the pipeline worker. Returns
+  /// The batch is validated on the calling thread — an invalid vertex id
+  /// or a self-loop back edge rejects the WHOLE batch with InvalidArgument
+  /// and applies nothing — then enqueued for the pipeline worker. Returns
   /// FailedPrecondition after `Seal`. Arrivals must satisfy the stream
   /// invariants (each vertex once, back edges to earlier arrivals); batches
   /// from multiple threads are applied in `Ingest`-call order.
@@ -190,8 +192,9 @@ class Service {
           std::unique_ptr<StreamingPartitioner> partitioner,
           MotifDistribution reference);
 
-  /// Front-end batch validation (vertex-sharded when configured).
-  Status ValidateBatch(const VertexArrival* arrivals, size_t count) const;
+  /// The pipeline worker's body: runs queued tasks FIFO until the
+  /// destructor asks it to stop and the queue is drained.
+  void PipelineLoop();
 
   /// Pipeline-thread batch body: partitioner feed + stream recording +
   /// snapshot cadence.
@@ -274,11 +277,15 @@ class Service {
   std::atomic<uint64_t> assign_errors_{0};
   std::atomic<bool> sealed_flag_{false};
 
-  /// Front-end validation pool (null when `front_end_shards` <= 1).
-  std::unique_ptr<ThreadPool> front_pool_;
-  /// The single pipeline worker. Declared LAST so its destructor — which
-  /// drains and joins — runs FIRST, before any state its tasks reference.
-  ThreadPool pipeline_;
+  /// The pipeline queue, guarded by `queue_mu_`; `stopping_` tells the
+  /// worker to exit once the queue is empty.
+  std::mutex queue_mu_;
+  std::condition_variable queue_cv_;
+  std::deque<std::function<void()>> queue_;
+  bool stopping_ = false;
+  /// The single pipeline worker: started at the end of the constructor,
+  /// drained and joined in the destructor.
+  std::thread pipeline_;
 };
 
 }  // namespace loom

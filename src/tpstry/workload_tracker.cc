@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "motif/canonical.h"
 
 namespace loom {
 
@@ -33,9 +34,20 @@ WorkloadTracker::WorkloadTracker(uint32_t num_labels,
 }
 
 Status WorkloadTracker::Observe(const LabeledGraph& query) {
+  // The DAG only grows, so a query isomorphic to one already woven touches
+  // the same nodes: replaying its +1 support delta equals AddQuery exactly.
+  Result<std::string> key = CanonicalForm(query);
+  const auto memo =
+      key.ok() ? touched_by_class_.find(*key) : touched_by_class_.end();
   std::vector<TpstryNodeId> touched;
-  LOOM_RETURN_IF_ERROR(
-      trie_.AddQuery(query, 1.0, options_.paths_only, &touched));
+  if (memo != touched_by_class_.end()) {
+    touched = memo->second;
+    trie_.ApplySupportDelta(touched, 1.0);
+  } else {
+    LOOM_RETURN_IF_ERROR(
+        trie_.AddQuery(query, 1.0, options_.paths_only, &touched));
+    if (key.ok()) touched_by_class_.emplace(std::move(*key), touched);
+  }
   window_.push_back(std::move(touched));
   ++num_observed_;
   while (window_.size() > options_.window_queries) {

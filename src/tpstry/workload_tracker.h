@@ -14,10 +14,14 @@
 /// query it keeps only the trie nodes the query touched, so expiry is an
 /// O(|touched|) support subtraction instead of a full re-enumeration of the
 /// expiring query's sub-graphs (and the per-query copy of a `LabeledGraph`
-/// is gone).
+/// is gone). Workloads repeat a handful of query shapes, so the tracker also
+/// memoises each shape's touched list by canonical form: observing a repeat
+/// is one canonicalisation plus an O(|touched|) support delta, not a weave.
 
 #include <cstdint>
 #include <deque>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -91,6 +95,9 @@ class WorkloadTracker {
   TpstryPP trie_;
   /// Per in-window query: the trie nodes it contributed support to.
   std::deque<std::vector<TpstryNodeId>> window_;
+  /// Canonical form of each query class woven so far -> its touched nodes.
+  /// One entry per distinct class; like the trie's DAG it only grows.
+  std::unordered_map<std::string, std::vector<TpstryNodeId>> touched_by_class_;
   uint64_t num_observed_ = 0;
 };
 

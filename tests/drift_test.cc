@@ -9,7 +9,9 @@
 #include <cmath>
 
 #include <memory>
+#include <string>
 
+#include "core/loom.h"
 #include "core/partitioner_factory.h"
 #include "drift/drift_controller.h"
 #include "drift/drift_detector.h"
@@ -202,36 +204,53 @@ TEST(MigrationBudgetTest, BudgetedPassNeverExceedsTheBudget) {
                              LabelConfig{4, 0.3}, rng);
   const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
 
-  PartitionerOptions popts;
-  popts.k = 6;
-  popts.num_vertices_hint = g.NumVertices();
-  popts.num_edges_hint = g.NumEdges();
+  Workload workload;
+  ASSERT_TRUE(workload.Add("path", PathQuery({0, 1, 0}), 1.0).ok());
+  workload.Normalize();
+  auto trie = BuildTrie(workload);
+  ASSERT_TRUE(trie.ok());
 
-  for (const double fraction : {0.0, 0.05, 0.15, 0.30}) {
-    auto ldg = MakeLdg(popts);
-    ldg->Run(stream);
-    const PartitionAssignment prior = ldg->assignment();
+  LoomOptions lopts;
+  lopts.partitioner.k = 6;
+  lopts.partitioner.num_vertices_hint = g.NumVertices();
+  lopts.partitioner.num_edges_hint = g.NumEdges();
+  lopts.partitioner.window_size = 128;
+  lopts.matcher.frequency_threshold = 0.2;
+  const size_t cap = ComputeCapacity(6, g.NumVertices(),
+                                     lopts.partitioner.capacity_slack);
 
-    RestreamOptions ropts;
-    ropts.order = RestreamOrder::kDecisive;
-    ropts.max_migration_fraction = fraction;
-    const Restreamer restreamer(stream, ropts);
-    const RestreamPassStats stats = restreamer.RunIncrementalPass(
-        ldg.get(), prior, MigrationBudgetMoves(prior, fraction));
+  for (const std::string& name : KnownPartitioners()) {
+    for (const double fraction : {0.0, 0.05, 0.15, 0.30}) {
+      SCOPED_TRACE(name + " fraction " + std::to_string(fraction));
+      auto made = MakePartitioner(name, lopts, trie->get());
+      ASSERT_TRUE(made.ok());
+      StreamingPartitioner* live = made->get();
+      live->Run(stream);
+      const PartitionAssignment prior = live->assignment();
 
-    const MigrationStats moved = ComputeMigration(prior, ldg->assignment());
-    EXPECT_LE(moved.moved, MigrationBudgetMoves(prior, fraction))
-        << "fraction " << fraction;
-    EXPECT_LE(stats.migration_fraction, fraction + 1e-12);
-    // Strictness is backed by home-slot reservation, not by overflow: the
-    // budgeted pass must show no capacity pressure at all.
-    EXPECT_EQ(stats.forced_placements, 0u);
-    EXPECT_EQ(stats.assign_errors, 0u);
-    EXPECT_TRUE(AllAssigned(g, ldg->assignment()));
-    if (fraction == 0.0) {
-      // A zero budget is a pure re-affirmation pass: nothing moves.
-      EXPECT_EQ(moved.moved, 0u);
-      EXPECT_EQ(stats.migration_fraction, 0.0);
+      RestreamOptions ropts;
+      ropts.order = RestreamOrder::kDecisive;
+      ropts.max_migration_fraction = fraction;
+      const Restreamer restreamer(stream, ropts);
+      const RestreamPassStats stats = restreamer.RunIncrementalPass(
+          live, prior, MigrationBudgetMoves(prior, fraction));
+
+      const MigrationStats moved = ComputeMigration(prior, live->assignment());
+      EXPECT_LE(moved.moved, MigrationBudgetMoves(prior, fraction));
+      EXPECT_LE(stats.migration_fraction, fraction + 1e-12);
+      // Strictness is backed by home-slot reservation, not by overflow: the
+      // budgeted pass must show no capacity pressure at all.
+      EXPECT_EQ(stats.forced_placements, 0u);
+      EXPECT_EQ(stats.assign_errors, 0u);
+      EXPECT_TRUE(AllAssigned(g, live->assignment()));
+      for (const uint32_t size : live->assignment().Sizes()) {
+        EXPECT_LE(size, cap);
+      }
+      if (fraction == 0.0) {
+        // A zero budget is a pure re-affirmation pass: nothing moves.
+        EXPECT_EQ(moved.moved, 0u);
+        EXPECT_EQ(stats.migration_fraction, 0.0);
+      }
     }
   }
 }
@@ -387,6 +406,57 @@ TEST(DriftControllerTest, ReactionStaysUnderBudgetAndNeverPublishesWorse) {
   // Rebase re-armed the detector on the drifted distribution.
   EXPECT_TRUE(controller.detector().Armed());
   EXPECT_FALSE(controller.Check(drifted).workload_drifted);
+}
+
+// The serial reaction is a function of its inputs alone: two controllers
+// reacting to the same drift from the same live assignment adopt the same
+// placement. The adopted placement is the one `edge_cut_after` reports,
+// and the partitioner is left holding the last pass's.
+TEST(DriftControllerTest, ReactionIsDeterministicAndReportsWhatItAdopts) {
+  Rng rng(67);
+  LabeledGraph g = MakeGraph(GraphKind::kBarabasiAlbert, 1200, 6,
+                             LabelConfig{4, 0.3}, rng);
+  const GraphStream stream = MakeStream(g, StreamOrder::kDfs, rng);
+  PartitionerOptions popts;
+  popts.k = 6;
+  popts.num_vertices_hint = g.NumVertices();
+  popts.num_edges_hint = g.NumEdges();
+
+  DriftControllerOptions options;
+  options.detector.min_consecutive = 1;
+  options.max_migration_fraction = 0.2;
+  PartitionAssignment before{1, 0};
+  const auto react = [&](StreamingPartitioner* live) {
+    live->Run(stream);
+    before = live->assignment();
+    DriftController controller(options);
+    controller.SetReference(Dist({{1, 1.0}}), EdgeCutFraction(g, before));
+    return controller.MaybeRepartition(Dist({{2, 1.0}}), stream, live);
+  };
+  auto first = MakeLdg(popts);
+  auto second = MakeLdg(popts);
+  const DriftReaction a = react(first.get());
+  const DriftReaction b = react(second.get());
+  ASSERT_TRUE(a.reacted);
+  ASSERT_TRUE(b.reacted);
+
+  EXPECT_EQ(ComputeMigration(a.assignment, b.assignment).moved, 0u);
+  EXPECT_EQ(a.edge_cut_after, b.edge_cut_after);
+  EXPECT_EQ(a.migration_fraction, b.migration_fraction);
+  ASSERT_EQ(a.passes.size(), b.passes.size());
+  ASSERT_FALSE(a.passes.empty());
+  for (size_t i = 0; i < a.passes.size(); ++i) {
+    EXPECT_EQ(a.passes[i].edge_cut_fraction, b.passes[i].edge_cut_fraction);
+    EXPECT_EQ(a.passes[i].forced_placements, 0u);
+    EXPECT_EQ(a.passes[i].assign_errors, 0u);
+  }
+
+  EXPECT_TRUE(AllAssigned(g, a.assignment));
+  EXPECT_DOUBLE_EQ(a.edge_cut_after, EdgeCutFraction(g, a.assignment));
+  EXPECT_LE(ComputeMigration(before, a.assignment).moved,
+            MigrationBudgetMoves(before, options.max_migration_fraction));
+  EXPECT_DOUBLE_EQ(EdgeCutFraction(g, first->assignment()),
+                   a.passes.back().edge_cut_fraction);
 }
 
 // ------------------------------------------------------------- scenario

@@ -701,105 +701,101 @@ TEST(EdgePartitionGoldenTest, ScalarAndBitmaskKernelsMatchPins) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded edge restream
+// Budgeted edge restream, for each streaming edge partitioner
 
-EdgePartitionerOptions ShardedOptions(uint64_t num_edges) {
-  EdgePartitionerOptions opt;
-  opt.k = 8;
-  opt.num_edges_hint = num_edges;
-  return opt;
-}
-
-TEST(EdgeRestreamShardedTest, OneShardBitIdenticalToSerial) {
-  // One shard still runs the full plan/clone/merge machinery, so this pins
-  // the whole sharded path (budget floors, capacity slices, AdoptMergedPass
-  // replay) against the serial driver — placements, quality metrics and
-  // every per-pass counter must match exactly.
-  const GraphStream stream = PowerLawStream(1200, 5, 61);
-  const uint64_t m = CountStreamEdges(stream);
-  for (const char* name : {"hdrf", "dbh"}) {
-    EdgeRestreamOptions ropt;
-    ropt.num_passes = 3;
-    ropt.max_migration_fraction = 0.2;
-
-    auto serial_part = MakeEdgePartitioner(name, ShardedOptions(m));
-    ASSERT_TRUE(serial_part.ok());
-    StreamCursor serial_cursor(stream);
-    EdgeRestreamer serial(&serial_cursor, ropt);
-    auto serial_result = serial.Run((*serial_part).get());
-    ASSERT_TRUE(serial_result.ok()) << name;
-
-    auto sharded_part = MakeEdgePartitioner(name, ShardedOptions(m));
-    ASSERT_TRUE(sharded_part.ok());
-    StreamCursor sharded_cursor(stream);
-    EdgeRestreamer sharded(&sharded_cursor, ropt);
-    auto sharded_result = sharded.RunSharded((*sharded_part).get(), 1);
-    ASSERT_TRUE(sharded_result.ok()) << name;
-
-    EXPECT_EQ(serial_result->placements, sharded_result->placements) << name;
-    EXPECT_DOUBLE_EQ(serial_result->replication_factor,
-                     sharded_result->replication_factor);
-    EXPECT_DOUBLE_EQ(serial_result->balance, sharded_result->balance);
-    ASSERT_EQ(serial_result->passes.size(), sharded_result->passes.size());
-    for (size_t i = 0; i < serial_result->passes.size(); ++i) {
-      const EdgeRestreamPassStats& a = serial_result->passes[i];
-      const EdgeRestreamPassStats& b = sharded_result->passes[i];
-      EXPECT_DOUBLE_EQ(a.replication_factor, b.replication_factor) << name;
-      EXPECT_DOUBLE_EQ(a.best_replication_factor, b.best_replication_factor);
-      EXPECT_DOUBLE_EQ(a.balance, b.balance) << name;
-      EXPECT_DOUBLE_EQ(a.moved_fraction, b.moved_fraction) << name;
-      EXPECT_EQ(a.overflow_fallbacks, b.overflow_fallbacks) << name;
-      EXPECT_EQ(a.cap_relaxations, b.cap_relaxations) << name;
-      EXPECT_EQ(a.assign_errors, b.assign_errors) << name;
-      EXPECT_EQ(a.budget_denied_moves, b.budget_denied_moves) << name;
-    }
+class EdgeRestreamAlgorithmTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  static EdgePartitionerOptions Options(uint64_t num_edges) {
+    EdgePartitionerOptions opt;
+    opt.k = 8;
+    opt.num_edges_hint = num_edges;
+    return opt;
   }
-}
+};
 
-TEST(EdgeRestreamShardedTest, ShardSweepDeterministicBudgetedAndClean) {
-  // Across shard counts: repeat runs are placement-identical (input-only
-  // determinism), the global migration budget is never exceeded on any
-  // pass, and no pass needs a cap relaxation or errors an assignment —
-  // the capacity slices hand each shard a consistent fragment of the
-  // global balance budget.
+// Repeat runs are placement-identical (input-only determinism), no pass
+// moves more edges than the migration budget allows, and no pass needs a
+// cap relaxation or errors an assignment.
+TEST_P(EdgeRestreamAlgorithmTest, DeterministicBudgetedAndClean) {
   const GraphStream stream = PowerLawStream(1500, 5, 67);
   const uint64_t m = CountStreamEdges(stream);
   EdgeRestreamOptions ropt;
   ropt.num_passes = 3;
   ropt.max_migration_fraction = 0.1;
   const uint64_t budget = static_cast<uint64_t>(0.1 * static_cast<double>(m));
-  for (const char* name : {"hdrf", "dbh"}) {
-    for (const uint32_t shards : {1u, 2u, 4u}) {
-      std::vector<uint32_t> first;
-      for (int rep = 0; rep < 2; ++rep) {
-        auto part = MakeEdgePartitioner(name, ShardedOptions(m));
-        ASSERT_TRUE(part.ok());
-        StreamCursor cursor(stream);
-        EdgeRestreamer restreamer(&cursor, ropt);
-        auto result = restreamer.RunSharded((*part).get(), shards);
-        ASSERT_TRUE(result.ok()) << name << " shards=" << shards;
-        for (const EdgeRestreamPassStats& pass : result->passes) {
-          EXPECT_EQ(pass.cap_relaxations, 0u)
-              << name << " shards=" << shards << " pass=" << pass.pass;
-          EXPECT_EQ(pass.assign_errors, 0u)
-              << name << " shards=" << shards << " pass=" << pass.pass;
-          if (pass.pass > 1) {
-            EXPECT_LE(pass.moved_fraction * static_cast<double>(m),
-                      static_cast<double>(budget) + 0.5)
-                << name << " shards=" << shards << " pass=" << pass.pass;
-            EXPECT_EQ(pass.num_shards, shards);
-          }
-        }
-        if (rep == 0) {
-          first = result->placements;
-        } else {
-          EXPECT_EQ(first, result->placements)
-              << name << " shards=" << shards;
-        }
+
+  std::vector<EdgeRestreamResult> runs;
+  for (int rep = 0; rep < 2; ++rep) {
+    auto part = MakeEdgePartitioner(GetParam(), Options(m));
+    ASSERT_TRUE(part.ok());
+    StreamCursor cursor(stream);
+    EdgeRestreamer restreamer(&cursor, ropt);
+    auto result = restreamer.Run((*part).get());
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->passes.size(), 3u);
+    for (const EdgeRestreamPassStats& pass : result->passes) {
+      EXPECT_EQ(pass.cap_relaxations, 0u) << "pass " << pass.pass;
+      EXPECT_EQ(pass.assign_errors, 0u) << "pass " << pass.pass;
+      if (pass.pass > 1) {
+        EXPECT_LE(pass.moved_fraction * static_cast<double>(m),
+                  static_cast<double>(budget) + 0.5)
+            << "pass " << pass.pass;
       }
     }
+    runs.push_back(std::move(*result));
+  }
+  EXPECT_EQ(runs[0].placements, runs[1].placements);
+  EXPECT_EQ(runs[0].replication_factor, runs[1].replication_factor);
+  for (size_t i = 0; i < runs[0].passes.size(); ++i) {
+    const EdgeRestreamPassStats& a = runs[0].passes[i];
+    const EdgeRestreamPassStats& b = runs[1].passes[i];
+    EXPECT_EQ(a.replication_factor, b.replication_factor) << "pass " << a.pass;
+    EXPECT_EQ(a.balance, b.balance) << "pass " << a.pass;
+    EXPECT_EQ(a.moved_fraction, b.moved_fraction) << "pass " << a.pass;
+    EXPECT_EQ(a.budget_denied_moves, b.budget_denied_moves)
+        << "pass " << a.pass;
   }
 }
+
+// Without keep-best the reported pass is the last one, which the
+// partitioner still holds: the result must agree with the partitioner's
+// own placement log, replica set and edge counts.
+TEST_P(EdgeRestreamAlgorithmTest, LastPassReportMatchesThePartitionerState) {
+  const GraphStream stream = PowerLawStream(1200, 5, 61);
+  const uint64_t m = CountStreamEdges(stream);
+  EdgeRestreamOptions ropt;
+  ropt.num_passes = 3;
+  ropt.max_migration_fraction = 0.2;
+  ropt.keep_best = false;
+
+  auto part = MakeEdgePartitioner(GetParam(), Options(m));
+  ASSERT_TRUE(part.ok());
+  EdgePartitioner& p = **part;
+  StreamCursor cursor(stream);
+  EdgeRestreamer restreamer(&cursor, ropt);
+  auto result = restreamer.Run(&p);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  EXPECT_EQ(result->placements, p.placements());
+  EXPECT_EQ(result->placements.size(), m);
+  for (const uint32_t part_id : result->placements) {
+    ASSERT_LT(part_id, 8u);
+  }
+  EXPECT_DOUBLE_EQ(result->replication_factor,
+                   ReplicationFactor(p.replicas()));
+  EXPECT_DOUBLE_EQ(result->balance, EdgeBalanceMaxOverAvg(p.edge_counts()));
+  EXPECT_DOUBLE_EQ(result->replication_factor,
+                   result->passes.back().replication_factor);
+  // The replica set rebuilt in place by the last pass holds no stale
+  // (emptied, never re-added) vertex.
+  EXPECT_TRUE(p.replicas().CheckInvariants());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Algorithms, EdgeRestreamAlgorithmTest, ::testing::Values("hdrf", "dbh"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 }  // namespace
 }  // namespace loom

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -197,6 +198,45 @@ TEST(ReplicaSetTest, BitmaskMatchesSetOracleUnderRandomChurn) {
       ASSERT_EQ(set.Has(v, p), has) << "v=" << v << " p=" << p;
     }
   }
+}
+
+// BeginRebuild empties the set in place (the edge partitioners call it
+// once per restream pass); re-adding the population then yields exactly
+// the set a fresh build would hold, primaries and masks included.
+TEST(ReplicaSetTest, BeginRebuildThenRefillMatchesAFreshBuild) {
+  ReplicaSet r;
+  r.Add(1, 0);
+  r.Add(1, 2);
+  r.Add(2, 3);
+  r.Add(70, 1);
+  r.BeginRebuild();
+  EXPECT_EQ(r.NumReplicas(), 0u);
+  for (const VertexId v : {VertexId{1}, VertexId{2}, VertexId{70}}) {
+    EXPECT_EQ(r.PartitionsOf(v), nullptr) << v;
+    EXPECT_EQ(r.PrimaryOf(v), kNoReplica) << v;
+    EXPECT_EQ(r.MaskCountOf(v), 0u) << v;
+  }
+  EXPECT_FALSE(r.Has(1, 0));
+
+  // The next pass places the same vertices differently.
+  const std::vector<std::pair<VertexId, uint32_t>> adds = {
+      {2, 1}, {1, 2}, {70, 3}, {1, 0}, {2, 1}};
+  ReplicaSet fresh;
+  for (const auto& [v, p] : adds) {
+    r.Add(v, p);
+    fresh.Add(v, p);
+  }
+  EXPECT_TRUE(r.CheckInvariants());
+  EXPECT_EQ(r.NumReplicas(), fresh.NumReplicas());
+  EXPECT_EQ(r.NumReplicatedVertices(), fresh.NumReplicatedVertices());
+  for (const VertexId v : {VertexId{1}, VertexId{2}, VertexId{70}}) {
+    ASSERT_NE(r.PartitionsOf(v), nullptr) << v;
+    EXPECT_EQ(*r.PartitionsOf(v), *fresh.PartitionsOf(v)) << v;
+    EXPECT_EQ(r.PrimaryOf(v), fresh.PrimaryOf(v)) << v;
+    EXPECT_EQ(r.MaskWordOf(v, 0), fresh.MaskWordOf(v, 0)) << v;
+  }
+  EXPECT_EQ(r.PrimaryOf(1), 2u);
+  EXPECT_FALSE(r.Has(2, 3));
 }
 
 TEST(ReplicationTest, ReplicatedTraversalBecomesLocal) {

@@ -1,16 +1,21 @@
 // Tests for the restreaming/repartitioning subsystem: replay-stream
 // construction, ReLDG prior semantics, the anytime (monotone best-cut)
-// contract over the benchmark graph families for ldg/fennel/loom, and
-// migration-cost accounting.
+// contract over the benchmark graph families for ldg/fennel/loom,
+// migration-cost accounting, and the budgeted incremental pass's contract
+// for every vertex partitioner.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "core/loom.h"
 #include "graph/generators.h"
 #include "metrics/metrics.h"
+#include "partition/buffered_ldg_partitioner.h"
 #include "partition/fennel_partitioner.h"
 #include "partition/hash_partitioner.h"
 #include "partition/ldg_partitioner.h"
@@ -276,7 +281,250 @@ TEST(RestreamerTest, OverfullStreamRestreamsWithoutDrops) {
   }
   EXPECT_EQ(r.assignment.NumAssigned(), g.NumVertices());
   EXPECT_TRUE(AllAssigned(g, r.assignment));
+
+  // The same overfull prior through one budgeted, decisiveness-ordered
+  // incremental pass (the drift reaction's form): still no drops, and the
+  // forced placements are counted rather than failing an Assign.
+  RestreamOptions incremental;
+  incremental.order = RestreamOrder::kDecisive;
+  const Restreamer reactor(stream, incremental);
+  LdgPartitioner live(o);
+  live.Run(stream);
+  const PartitionAssignment prior = live.assignment();
+  const RestreamPassStats pass = reactor.RunIncrementalPass(
+      &live, prior, MigrationBudgetMoves(prior, 0.2));
+  EXPECT_GT(pass.forced_placements, 0u);
+  EXPECT_EQ(pass.assign_errors, 0u);
+  EXPECT_EQ(live.assignment().NumAssigned(), g.NumVertices());
+  EXPECT_TRUE(AllAssigned(g, live.assignment()));
 }
+
+TEST(RestreamOptionsValidationTest, ClampsPassesAndRejectsInvalidBudgets) {
+  RestreamOptions zero_passes;
+  zero_passes.num_passes = 0;
+  EXPECT_EQ(SanitizeRestreamOptions(zero_passes).num_passes, 1u);
+
+  RestreamOptions nan_budget;
+  nan_budget.max_migration_fraction = std::nan("");
+  EXPECT_EQ(SanitizeRestreamOptions(nan_budget).max_migration_fraction, 0.0);
+
+  RestreamOptions negative_budget;
+  negative_budget.max_migration_fraction = -0.5;
+  EXPECT_EQ(SanitizeRestreamOptions(negative_budget).max_migration_fraction,
+            0.0);
+
+  // MigrationBudgetMoves itself must never turn NaN into an unbudgeted
+  // pass (the pre-fix behaviour cast NaN — undefined behaviour).
+  PartitionAssignment prior(2, 10);
+  ASSERT_TRUE(prior.Assign(0, 0).ok());
+  ASSERT_TRUE(prior.Assign(1, 1).ok());
+  EXPECT_EQ(MigrationBudgetMoves(prior, std::nan("")), 0u);
+  EXPECT_EQ(MigrationBudgetMoves(prior, -1.0), 0u);
+}
+
+TEST(RestreamOptionsValidationTest, RestreamerSanitizesOnConstruction) {
+  Rng rng(61);
+  const LabeledGraph g = ErdosRenyiGnm(300, 900, LabelConfig{2, 0.0}, rng);
+  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
+
+  // num_passes = 0 still runs one pass; a NaN budget freezes migration on
+  // the prior-bearing passes instead of silently unbudgeting them.
+  RestreamOptions ropts;
+  ropts.num_passes = 0;
+  LdgPartitioner one_pass(Opts(4, g.NumVertices()));
+  const RestreamResult r = Restreamer(stream, ropts).Run(&one_pass);
+  EXPECT_EQ(r.passes.size(), 1u);
+
+  RestreamOptions nan_opts;
+  nan_opts.num_passes = 2;
+  nan_opts.max_migration_fraction = std::nan("");
+  LdgPartitioner frozen(Opts(4, g.NumVertices()));
+  const RestreamResult rf = Restreamer(stream, nan_opts).Run(&frozen);
+  ASSERT_EQ(rf.passes.size(), 2u);
+  EXPECT_EQ(rf.passes[1].migration_fraction, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The budgeted incremental pass (the drift reaction's unit of work), checked
+// for every vertex partitioner.
+
+enum class PartitionerKind { kHash, kLdg, kFennel, kBufferedLdg, kLoom };
+
+std::string KindName(const ::testing::TestParamInfo<PartitionerKind>& info) {
+  switch (info.param) {
+    case PartitionerKind::kHash:
+      return "Hash";
+    case PartitionerKind::kLdg:
+      return "Ldg";
+    case PartitionerKind::kFennel:
+      return "Fennel";
+    case PartitionerKind::kBufferedLdg:
+      return "BufferedLdg";
+    case PartitionerKind::kLoom:
+      return "Loom";
+  }
+  return "Unknown";
+}
+
+// A partitioner of one kind. LOOM's partitioner lives inside its facade,
+// which `loom` keeps alive.
+struct MadePartitioner {
+  std::unique_ptr<StreamingPartitioner> owned;
+  std::unique_ptr<Loom> loom;
+
+  StreamingPartitioner* get() const {
+    return loom ? &loom->Partitioner() : owned.get();
+  }
+};
+
+MadePartitioner MakeOfKind(PartitionerKind kind, const LabeledGraph& g) {
+  const PartitionerOptions popts = Opts(6, g.NumVertices(), g.NumEdges());
+  MadePartitioner made;
+  switch (kind) {
+    case PartitionerKind::kHash:
+      made.owned = std::make_unique<HashPartitioner>(popts);
+      break;
+    case PartitionerKind::kLdg:
+      made.owned = std::make_unique<LdgPartitioner>(popts);
+      break;
+    case PartitionerKind::kFennel:
+      made.owned = std::make_unique<FennelPartitioner>(popts);
+      break;
+    case PartitionerKind::kBufferedLdg:
+      made.owned = std::make_unique<BufferedLdgPartitioner>(popts);
+      break;
+    case PartitionerKind::kLoom: {
+      Workload w;
+      EXPECT_TRUE(w.Add("tri", TriangleQuery(0, 1, 2), 1.0).ok());
+      EXPECT_TRUE(w.Add("ab", PathQuery({0, 1}), 1.0).ok());
+      w.Normalize();
+      LoomOptions o;
+      o.partitioner = popts;
+      o.partitioner.window_size = 64;
+      o.matcher.frequency_threshold = 0.4;
+      auto created = Loom::Create(w, o);
+      EXPECT_TRUE(created.ok());
+      made.loom = std::move(created).value();
+      break;
+    }
+  }
+  return made;
+}
+
+void ExpectSameAssignment(const PartitionAssignment& a,
+                          const PartitionAssignment& b) {
+  const size_t bound = std::max(a.IdBound(), b.IdBound());
+  for (VertexId v = 0; v < bound; ++v) {
+    ASSERT_EQ(a.PartOf(v), b.PartOf(v)) << "vertex " << v;
+  }
+  EXPECT_EQ(a.Sizes(), b.Sizes());
+  EXPECT_EQ(a.NumAssigned(), b.NumAssigned());
+}
+
+class IncrementalPassTest : public ::testing::TestWithParam<PartitionerKind> {
+ protected:
+  IncrementalPassTest()
+      : rng_(41),
+        g_(MotifGraph(rng_)),
+        stream_(MakeStream(g_, StreamOrder::kRandom, rng_)) {
+    options_.order = RestreamOrder::kDecisive;
+  }
+
+  // Planted triangles give LOOM motif clusters to re-score.
+  static LabeledGraph MotifGraph(Rng& rng) {
+    LabeledGraph g = BarabasiAlbert(900, 4, LabelConfig{3, 0.2}, rng);
+    PlantMotifs(&g, TriangleQuery(0, 1, 2), 24, rng, /*locality_span=*/16);
+    return g;
+  }
+
+  // A partitioner of the parameter's kind after one single pass: the live
+  // state a drift reaction starts from.
+  MadePartitioner Live() const {
+    MadePartitioner made = MakeOfKind(GetParam(), g_);
+    made.get()->Run(stream_);
+    return made;
+  }
+
+  Rng rng_;
+  LabeledGraph g_;
+  GraphStream stream_;
+  RestreamOptions options_;
+};
+
+// The pass is exactly the public lifecycle driven over ReplayStream's
+// ordering: BeginPass(&prior), SetMigrationBudget, Run, ClearPrior.
+TEST_P(IncrementalPassTest, MatchesAManualReplayOfReplayStream) {
+  const Restreamer restreamer(stream_, options_);
+  const MadePartitioner live = Live();
+  const PartitionAssignment prior = live.get()->assignment();
+  const uint64_t budget = MigrationBudgetMoves(prior, 0.2);
+  const RestreamPassStats stats =
+      restreamer.RunIncrementalPass(live.get(), prior, budget);
+
+  const MadePartitioner manual = Live();
+  Rng order_rng(options_.seed);
+  const GraphStream replay =
+      restreamer.ReplayStream(options_.order, prior, order_rng);
+  manual.get()->BeginPass(&prior);
+  manual.get()->SetMigrationBudget(budget);
+  manual.get()->Run(replay);
+  manual.get()->ClearPrior();
+
+  ExpectSameAssignment(live.get()->assignment(), manual.get()->assignment());
+  const PartitionerStats& want = manual.get()->stats();
+  EXPECT_EQ(stats.overflow_fallbacks, want.overflow_fallbacks);
+  EXPECT_EQ(stats.forced_placements, want.forced_placements);
+  EXPECT_EQ(stats.assign_errors, want.assign_errors);
+  EXPECT_EQ(stats.budget_denied_moves, want.budget_denied_moves);
+}
+
+TEST_P(IncrementalPassTest, DeterministicAcrossRepeatedRuns) {
+  const Restreamer restreamer(stream_, options_);
+  const MadePartitioner first = Live();
+  const MadePartitioner second = Live();
+  const PartitionAssignment prior = first.get()->assignment();
+  ExpectSameAssignment(prior, second.get()->assignment());
+  const uint64_t budget = MigrationBudgetMoves(prior, 0.25);
+
+  const RestreamPassStats a =
+      restreamer.RunIncrementalPass(first.get(), prior, budget);
+  const RestreamPassStats b =
+      restreamer.RunIncrementalPass(second.get(), prior, budget);
+  ExpectSameAssignment(first.get()->assignment(), second.get()->assignment());
+  EXPECT_EQ(a.edge_cut_fraction, b.edge_cut_fraction);
+  EXPECT_EQ(a.balance, b.balance);
+  EXPECT_EQ(a.migration_fraction, b.migration_fraction);
+  EXPECT_EQ(a.budget_denied_moves, b.budget_denied_moves);
+}
+
+// The returned stats describe the assignment the partitioner is left
+// holding, and the partitioner ends the pass with no prior and no budget.
+TEST_P(IncrementalPassTest, StatsAgreeWithTheResultingAssignment) {
+  const Restreamer restreamer(stream_, options_);
+  const MadePartitioner live = Live();
+  const PartitionAssignment prior = live.get()->assignment();
+  const RestreamPassStats stats = restreamer.RunIncrementalPass(
+      live.get(), prior, MigrationBudgetMoves(prior, 0.25));
+
+  const PartitionAssignment& after = live.get()->assignment();
+  EXPECT_EQ(live.get()->stats().prior_moves,
+            ComputeMigration(prior, after).moved);
+  EXPECT_DOUBLE_EQ(stats.migration_fraction, MigrationFraction(prior, after));
+  EXPECT_DOUBLE_EQ(stats.balance, BalanceMaxOverAvg(after));
+  EXPECT_DOUBLE_EQ(stats.edge_cut_fraction, EdgeCutFraction(g_, after));
+  EXPECT_EQ(stats.pass, 1u);
+  EXPECT_EQ(stats.best_edge_cut_fraction, stats.edge_cut_fraction);
+  EXPECT_EQ(after.NumAssigned(), g_.NumVertices());
+  EXPECT_FALSE(live.get()->HasPrior());
+  EXPECT_FALSE(live.get()->MigrationBudgetExhausted());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPartitioner, IncrementalPassTest,
+    ::testing::Values(PartitionerKind::kHash, PartitionerKind::kLdg,
+                      PartitionerKind::kFennel, PartitionerKind::kBufferedLdg,
+                      PartitionerKind::kLoom),
+    KindName);
 
 }  // namespace
 }  // namespace loom

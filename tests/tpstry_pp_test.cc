@@ -1,9 +1,12 @@
 // Tests for the TPSTry++ DAG (paper §4.2, Algorithm 1), including the
-// reproduction of Figure 2: the TPSTry++ for the workload Q of Figure 1.
+// reproduction of Figure 2: the TPSTry++ for the workload Q of Figure 1,
+// and the paths-only mode that reproduces the original TPSTry (the E8c
+// ablation).
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "motif/canonical.h"
 #include "tpstry/tpstry_pp.h"
@@ -226,6 +229,122 @@ TEST(TpstryPPTest, Figure2SupportValues) {
   EXPECT_NEAR(support(PathQuery({0, 1, 0})), 1.0 / 3.0, 1e-9);
   EXPECT_NEAR(support(PathQuery({0, 1, 2})), 2.0 / 3.0, 1e-9);
   EXPECT_NEAR(support(PaperQ1()), 1.0 / 3.0, 1e-9);
+}
+
+// ------------------------------------------------------------- paths only
+
+// Support of the simple-path motif with these vertex labels, or 0 when the
+// trie holds no such motif. The node is verified by canonical form.
+double PathSupport(const TpstryPP& trie, const std::vector<Label>& labels) {
+  const LabeledGraph path = PathQuery(labels);
+  const auto canonical = CanonicalForm(path);
+  EXPECT_TRUE(canonical.ok());
+  if (!canonical.ok()) return -1.0;
+  const auto id =
+      trie.FindBySignature(trie.scheme().SignatureOf(path), &canonical.value());
+  return id.has_value() ? trie.node(*id).support : 0.0;
+}
+
+TEST(TpstryPathsOnlyTest, SinglePathQuery) {
+  TpstryPP trie(3);
+  ASSERT_TRUE(trie.AddQuery(PathQuery({0, 1, 2}), 1.0, true).ok());
+  trie.Normalize();
+  // The sub-paths of a-b-c: a; b; c; ab; bc; abc.
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {0}), 1.0);
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {0, 1}), 1.0);
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {1, 2}), 1.0);
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {0, 1, 2}), 1.0);
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {1, 2, 0}), 0.0);
+  EXPECT_EQ(trie.NumNodes(), 6u);
+}
+
+TEST(TpstryPathsOnlyTest, DirectionDeduplicated) {
+  TpstryPP forward(3);
+  TpstryPP backward(3);
+  ASSERT_TRUE(forward.AddQuery(PathQuery({0, 1, 2}), 1.0, true).ok());
+  ASSERT_TRUE(backward.AddQuery(PathQuery({2, 1, 0}), 1.0, true).ok());
+  backward.Normalize();
+  // c-b-a is a-b-c read backwards: one motif, found either way.
+  EXPECT_DOUBLE_EQ(PathSupport(backward, {0, 1, 2}), 1.0);
+  EXPECT_DOUBLE_EQ(PathSupport(backward, {2, 1, 0}), 1.0);
+  EXPECT_EQ(backward.NumNodes(), forward.NumNodes());
+}
+
+TEST(TpstryPathsOnlyTest, SupportAccumulatesAcrossQueries) {
+  TpstryPP trie(3);
+  ASSERT_TRUE(trie.AddQuery(PathQuery({0, 1}), 3.0, true).ok());
+  ASSERT_TRUE(trie.AddQuery(PathQuery({0, 1, 2}), 1.0, true).ok());
+  trie.Normalize();
+  // Path a-b occurs in both queries: support (3 + 1) / 4.
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {0, 1}), 1.0);
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {0, 1, 2}), 0.25);
+}
+
+TEST(TpstryPathsOnlyTest, CountedOncePerQueryDespiteMultipleEmbeddings) {
+  TpstryPP trie(2);
+  // Star a-(b,b): the path b-a-b is the whole star, and the path a-b has
+  // two embeddings but is one motif.
+  ASSERT_TRUE(trie.AddQuery(StarQuery(0, {1, 1}), 1.0, true).ok());
+  trie.Normalize();
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {0, 1}), 1.0);
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {1, 0, 1}), 1.0);
+}
+
+TEST(TpstryPathsOnlyTest, FrequentPathsThreshold) {
+  TpstryPP trie(4);
+  ASSERT_TRUE(trie.AddQuery(PathQuery({0, 1, 2}), 3.0, true).ok());
+  ASSERT_TRUE(trie.AddQuery(PathQuery({2, 3}), 1.0, true).ok());
+  trie.Normalize();
+  // The a-b-c sub-paths have support 0.75; c-d has 0.25.
+  const auto frequent = trie.FrequentNodes(0.5);
+  EXPECT_FALSE(frequent.empty());
+  for (const TpstryNodeId id : frequent) {
+    EXPECT_GE(trie.node(id).support, 0.5);
+  }
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {0, 1, 2}), 0.75);
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {2, 3}), 0.25);
+  const auto bitmap = trie.FrequentBitmap(0.5);
+  const auto abc = trie.FindBySignature(
+      trie.scheme().SignatureOf(PathQuery({0, 1, 2})));
+  const auto cd =
+      trie.FindBySignature(trie.scheme().SignatureOf(PathQuery({2, 3})));
+  ASSERT_TRUE(abc.has_value());
+  ASSERT_TRUE(cd.has_value());
+  EXPECT_TRUE(bitmap[*abc]);
+  EXPECT_FALSE(bitmap[*cd]);
+}
+
+TEST(TpstryPathsOnlyTest, CycleQueryYieldsBoundedPaths) {
+  TpstryPP trie(2);
+  ASSERT_TRUE(trie.AddQuery(PaperQ1(), 1.0, true).ok());  // abab cycle
+  trie.Normalize();
+  // The open paths inside the cycle: ab; aba; bab; abab.
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {0, 1}), 1.0);
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {0, 1, 0}), 1.0);
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {1, 0, 1}), 1.0);
+  EXPECT_DOUBLE_EQ(PathSupport(trie, {0, 1, 0, 1}), 1.0);
+  // No path is longer than the cycle's four vertices.
+  for (TpstryNodeId id = 0; id < trie.NumNodes(); ++id) {
+    EXPECT_LE(trie.node(id).num_vertices, 4u);
+    EXPECT_EQ(trie.node(id).num_edges + 1, trie.node(id).num_vertices);
+  }
+}
+
+TEST(TpstryPathsOnlyTest, RejectsBadInput) {
+  TpstryPP trie(2);
+  EXPECT_FALSE(trie.AddQuery(LabeledGraph(), 1.0, true).ok());
+  EXPECT_FALSE(trie.AddQuery(PathQuery({0}), 0.0, true).ok());
+  EXPECT_EQ(trie.NumNodes(), 0u);
+}
+
+TEST(TpstryPathsOnlyTest, NodeCountGrowsWithDistinctPaths) {
+  TpstryPP trie(4);
+  ASSERT_TRUE(trie.AddQuery(PathQuery({0, 1}), 1.0, true).ok());
+  const size_t n1 = trie.NumNodes();
+  ASSERT_TRUE(trie.AddQuery(PathQuery({0, 1}), 1.0, true).ok());
+  EXPECT_EQ(trie.NumNodes(), n1);
+  ASSERT_TRUE(trie.AddQuery(PathQuery({2, 3}), 1.0, true).ok());
+  EXPECT_GT(trie.NumNodes(), n1);
 }
 
 }  // namespace

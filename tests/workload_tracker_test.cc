@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tpstry/workload_tracker.h"
 #include "workload/query_builders.h"
 
@@ -91,6 +93,42 @@ TEST(WorkloadTrackerTest, MixedShapesSupported) {
   ASSERT_TRUE(tracker.Observe(PathQuery({0, 1, 2, 3})).ok());
   EXPECT_GT(tracker.trie().NumNodes(), 8u);
   EXPECT_EQ(tracker.WindowSize(), 3u);
+}
+
+// Repeated and isomorphic queries replay their memoised touched list; the
+// summary must equal one woven query by query, with expired ones removed.
+TEST(WorkloadTrackerTest, RepeatedShapesMatchAQueryByQueryWeave) {
+  const std::vector<LabeledGraph> stream = {
+      PaperQ2(),         PaperQ1(),         PathQuery({0, 1, 2}),
+      PaperQ2(),         PathQuery({2, 1, 0}), TriangleQuery(0, 1, 2),
+      PaperQ1(),         TriangleQuery(2, 0, 1), PaperQ2(),
+      PathQuery({0, 1, 2})};
+  WorkloadTrackerOptions opts;
+  opts.window_queries = 4;
+  WorkloadTracker tracker(4, opts);
+  TpstryPP reference(4);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(tracker.Observe(stream[i]).ok());
+    ASSERT_TRUE(reference.AddQuery(stream[i], 1.0).ok());
+    if (i >= opts.window_queries) {
+      ASSERT_TRUE(reference.RemoveQuery(stream[i - opts.window_queries], 1.0)
+                      .ok());
+    }
+    ASSERT_EQ(tracker.trie().NumNodes(), reference.NumNodes());
+    ASSERT_EQ(tracker.trie().NumDagEdges(), reference.NumDagEdges());
+    EXPECT_EQ(tracker.trie().TotalFrequency(), reference.TotalFrequency());
+    for (TpstryNodeId id = 0; id < reference.NumNodes(); ++id) {
+      EXPECT_EQ(tracker.trie().node(id).canonical,
+                reference.node(id).canonical);
+      EXPECT_EQ(tracker.trie().node(id).support, reference.node(id).support)
+          << "after query " << i << ", node " << id;
+    }
+  }
+  // An invalid query is rejected every time, never memoised.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(tracker.Observe(PathQuery({0, 7})).ok());
+  }
+  EXPECT_EQ(tracker.NumObserved(), stream.size());
 }
 
 TEST(WorkloadTrackerTest, PathsOnlyMode) {
