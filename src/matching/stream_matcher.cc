@@ -37,15 +37,6 @@ void InsertEdgeSorted(SmallVector<Edge, 8>* edges, const Edge& e) {
   edges->insert(pos, e);
 }
 
-/// Membership test + insert into a sorted key set (the re-grow "considered"
-/// set); returns true when newly inserted.
-bool ConsiderOnce(SmallVector<uint64_t, 64>* sorted, uint64_t key) {
-  uint64_t* pos = std::lower_bound(sorted->begin(), sorted->end(), key);
-  if (pos != sorted->end() && *pos == key) return false;
-  sorted->insert(pos, key);
-  return true;
-}
-
 }  // namespace
 
 StreamMatcher::StreamMatcher(const TpstryPP* trie,
@@ -53,6 +44,13 @@ StreamMatcher::StreamMatcher(const TpstryPP* trie,
     : trie_(trie), options_(options) {
   frequent_ = trie_->FrequentBitmap(options_.frequency_threshold);
   useful_ = trie_->UsefulBitmap(options_.frequency_threshold);
+  // Every label a motif uses is some query vertex's, so it has a root.
+  label_code_.assign(trie_->scheme().num_labels(), 0);
+  for (Label l = 0; l < label_code_.size(); ++l) {
+    if (trie_->RootFor(l).has_value()) label_code_[l] = ++num_codes_;
+  }
+  next_.assign((trie_->NumNodes() + 1) * 3 * num_codes_ * num_codes_,
+               kUnresolved);
 }
 
 uint64_t StreamMatcher::KeyOf(const SmallVector<Edge, 8>& edges) {
@@ -88,6 +86,7 @@ uint32_t StreamMatcher::AllocSlot(VertexId v) {
     id_by_slot_.emplace_back();
     adj_by_slot_.emplace_back();
     keys_by_slot_.emplace_back();
+    visit_mark_.push_back(0);
     in_closure_.push_back(0);
   }
   slot_of_[v] = static_cast<int32_t>(slot);
@@ -121,22 +120,65 @@ void StreamMatcher::OnVertex(VertexId v, Label label,
   }
 }
 
-bool StreamMatcher::ResolveNode(Tracked* t) const {
-  if (options_.verify_exact) {
-    const std::string canon = CanonicalOf(*t);
-    const auto node = trie_->FindBySignature(t->signature, &canon);
-    if (!node.has_value()) return false;
-    t->node = *node;
-  } else {
-    const auto node = trie_->FindBySignature(t->signature);
-    if (!node.has_value()) return false;
-    t->node = *node;
-  }
+void StreamMatcher::Extend(Tracked* t, const Edge& e, uint32_t eu_slot,
+                           uint32_t ev_slot, bool has_u, bool has_v) {
+  InsertEdgeSorted(&t->edges, e);
+  const auto add_vertex = [t](VertexId x, uint32_t xs) {
+    const VertexId* pos =
+        std::lower_bound(t->vertices.begin(), t->vertices.end(), x);
+    const size_t i = static_cast<size_t>(pos - t->vertices.begin());
+    t->vertices.insert(pos, x);
+    t->slots.insert(t->slots.begin() + i, xs);
+  };
+  if (!has_u) add_vertex(e.u, eu_slot);
+  if (!has_v) add_vertex(e.v, ev_slot);
+}
+
+TpstryNodeId StreamMatcher::Lookup(TpstryNodeId from, Growth g, Label a,
+                                   Label b,
+                                   const std::string* canonical) const {
+  GraphSignature sig = from == kInvalidTpstryNode
+                           ? GraphSignature()
+                           : trie_->node(from).signature;
+  const SignatureScheme& scheme = trie_->scheme();
+  if (g != kEdgeOnly) scheme.MultiplyVertex(&sig, a);
+  if (g == kBothNew) scheme.MultiplyVertex(&sig, b);
+  scheme.MultiplyEdge(&sig, a, b);
+  const auto node = trie_->FindBySignature(sig, canonical);
   // A node from which no frequent node is reachable can neither be a motif
   // match nor grow into one — refuse to track it.
-  if (!useful_[t->node]) return false;
-  t->frequent = frequent_[t->node];
-  return true;
+  return node.has_value() && useful_[*node] ? *node : kInvalidTpstryNode;
+}
+
+TpstryNodeId StreamMatcher::Step(const Tracked& t, const Edge& e,
+                                 uint32_t eu_slot, uint32_t ev_slot,
+                                 bool has_u, bool has_v) {
+  const Growth g = has_u && has_v   ? kEdgeOnly
+                   : has_u || has_v ? kOneNew
+                                    : kBothNew;
+  Label a = label_by_slot_[eu_slot];
+  Label b = label_by_slot_[ev_slot];
+  if (has_u && !has_v) std::swap(a, b);  // the new endpoint's label first
+  if (options_.verify_exact) {
+    Tracked grown = t;
+    Extend(&grown, e, eu_slot, ev_slot, has_u, has_v);
+    const std::string canon = CanonicalOf(grown);
+    return Lookup(t.node, g, a, b, &canon);
+  }
+  return Transition(t.node, g, a, b);
+}
+
+TpstryNodeId StreamMatcher::Transition(TpstryNodeId from, Growth g, Label a,
+                                       Label b) {
+  assert(InAlphabet(a) && InAlphabet(b));
+  const uint32_t ca = label_code_[a];
+  const uint32_t cb = label_code_[b];
+  if (ca == 0 || cb == 0) return kInvalidTpstryNode;  // label in no motif
+  const size_t row = from == kInvalidTpstryNode ? 0 : size_t{from} + 1;
+  TpstryNodeId& next =
+      next_[((row * 3 + g) * num_codes_ + ca - 1) * num_codes_ + cb - 1];
+  if (next == kUnresolved) next = Lookup(from, g, a, b, nullptr);
+  return next;
 }
 
 std::string StreamMatcher::CanonicalOf(const Tracked& t) const {
@@ -195,38 +237,17 @@ bool StreamMatcher::TryGrow(const Tracked& base, uint32_t u_slot,
 
   const uint32_t eu_slot = e.u == u ? u_slot : v_slot;
   const uint32_t ev_slot = e.u == u ? v_slot : u_slot;
-  const Label lu = label_by_slot_[eu_slot];
-  const Label lv = label_by_slot_[ev_slot];
-
-  Tracked grown;
-  grown.edges = base.edges;
-  InsertEdgeSorted(&grown.edges, e);
-  grown.vertices = base.vertices;
-  grown.slots = base.slots;
-  grown.signature = base.signature;
-  const SignatureScheme& scheme = trie_->scheme();
-  const auto add_vertex = [&grown](VertexId x, uint32_t xs) {
-    const VertexId* pos =
-        std::lower_bound(grown.vertices.begin(), grown.vertices.end(), x);
-    const size_t i = static_cast<size_t>(pos - grown.vertices.begin());
-    grown.vertices.insert(pos, x);
-    grown.slots.insert(grown.slots.begin() + i, xs);
-  };
-  if (!has_u) {
-    add_vertex(e.u, eu_slot);
-    scheme.MultiplyVertex(&grown.signature, lu);
-  }
-  if (!has_v) {
-    add_vertex(e.v, ev_slot);
-    scheme.MultiplyVertex(&grown.signature, lv);
-  }
-  scheme.MultiplyEdge(&grown.signature, lu, lv);
-
-  if (!ResolveNode(&grown)) {
+  const TpstryNodeId node = Step(base, e, eu_slot, ev_slot, has_u, has_v);
+  if (node == kInvalidTpstryNode) {
     ++stats_.growths_rejected;
     return false;
   }
   ++stats_.growths_accepted;
+  // `base` lives in tracked_, which Insert may rehash: copy it first.
+  Tracked grown = base;
+  Extend(&grown, e, eu_slot, ev_slot, has_u, has_v);
+  grown.node = node;
+  grown.frequent = frequent_[node];
   Insert(std::move(grown));
   return true;
 }
@@ -255,9 +276,7 @@ void StreamMatcher::ProcessEdge(uint32_t u_slot, uint32_t v_slot) {
     const auto it = tracked_.find(key);
     if (it == tracked_.end()) continue;
     if (it->second.edges.size() >= max_edges) continue;
-    // Copy the base: TryGrow mutates tracked_ on success.
-    const Tracked base = it->second;
-    if (TryGrow(base, u_slot, v_slot)) {
+    if (TryGrow(it->second, u_slot, v_slot)) {
       tracked_.erase(key);  // previous signature discarded (paper semantics)
       any_growth = true;
     }
@@ -272,63 +291,58 @@ void StreamMatcher::ProcessEdge(uint32_t u_slot, uint32_t v_slot) {
     return;
   }
   const VertexId u = id_by_slot_[u_slot];
-  const VertexId v = id_by_slot_[v_slot];
+  const Edge e = Edge{u, id_by_slot_[v_slot]}.Normalized();
+  const uint32_t eu_slot = e.u == u ? u_slot : v_slot;
+  const uint32_t ev_slot = e.u == u ? v_slot : u_slot;
   Tracked fresh;
-  const Edge e = Edge{u, v}.Normalized();
-  fresh.vertices = {e.u, e.v};
-  fresh.slots = {e.u == u ? u_slot : v_slot, e.u == u ? v_slot : u_slot};
-  fresh.edges = {e};
-  const SignatureScheme& scheme = trie_->scheme();
-  scheme.MultiplyVertex(&fresh.signature, label_by_slot_[fresh.slots[0]]);
-  scheme.MultiplyVertex(&fresh.signature, label_by_slot_[fresh.slots[1]]);
-  scheme.MultiplyEdge(&fresh.signature, label_by_slot_[fresh.slots[0]],
-                      label_by_slot_[fresh.slots[1]]);
-  if (ResolveNode(&fresh)) Insert(std::move(fresh));
+  fresh.node = Step(fresh, e, eu_slot, ev_slot, false, false);
+  if (fresh.node == kInvalidTpstryNode) return;
+  Extend(&fresh, e, eu_slot, ev_slot, false, false);
+  fresh.frequent = frequent_[fresh.node];
+  Insert(std::move(fresh));
 }
 
 void StreamMatcher::ReGrow(uint32_t u_slot, uint32_t v_slot) {
   ++stats_.regrow_invocations;
-  const SignatureScheme& scheme = trie_->scheme();
   const VertexId u = id_by_slot_[u_slot];
-  const VertexId v = id_by_slot_[v_slot];
-
+  const Edge seed = Edge{u, id_by_slot_[v_slot]}.Normalized();
   Tracked current;
-  if (u < v) {
-    current.vertices = {u, v};
-    current.slots = {u_slot, v_slot};
-  } else {
-    current.vertices = {v, u};
-    current.slots = {v_slot, u_slot};
+  {
+    const uint32_t su = seed.u == u ? u_slot : v_slot;
+    const uint32_t sv = seed.u == u ? v_slot : u_slot;
+    current.node = Step(current, seed, su, sv, false, false);
+    if (current.node == kInvalidTpstryNode) return;  // not itself a motif
+    Extend(&current, seed, su, sv, false, false);
   }
-  current.edges = {Edge{u, v}.Normalized()};
-  scheme.MultiplyVertex(&current.signature, label_by_slot_[u_slot]);
-  scheme.MultiplyVertex(&current.signature, label_by_slot_[v_slot]);
-  scheme.MultiplyEdge(&current.signature, label_by_slot_[u_slot],
-                      label_by_slot_[v_slot]);
-  if (!ResolveNode(&current)) return;  // the edge itself is not a motif
 
   // Frontier: window edges incident to the current sub-graph, explored FIFO
   // starting from the seed edge's endpoints; an edge rejected once is
-  // discarded for good ("do not traverse to its neighbours"). Both the
-  // frontier and the considered set are flat scratch (no node allocations).
+  // discarded for good ("do not traverse to its neighbours"). An edge is
+  // queued once, by whichever endpoint is expanded first: a neighbour whose
+  // own edges are already queued (it carries this re-grow's generation) is
+  // skipped, and so is a repeated adjacency entry (it carries this
+  // expansion's stamp).
   const size_t max_edges = trie_->MaxMotifEdges();
+  const uint64_t generation = ++mark_clock_;
   SmallVector<FrontierEdge, 32> frontier;
   size_t frontier_head = 0;
-  SmallVector<uint64_t, 64> considered;
-  ConsiderOnce(&considered, EdgeBits(Edge{u, v}));
-  auto push_incident = [&](uint32_t x_slot) {
+  auto push_incident = [&](uint32_t x_slot, int64_t skip_slot) {
+    const uint64_t stamp = ++mark_clock_;
+    if (skip_slot >= 0) visit_mark_[skip_slot] = stamp;
     const VertexId x = id_by_slot_[x_slot];
     for (const uint32_t ws : adj_by_slot_[x_slot]) {
+      if (visit_mark_[ws] == generation || visit_mark_[ws] == stamp) continue;
+      visit_mark_[ws] = stamp;
       const VertexId w = id_by_slot_[ws];
       const Edge e = Edge{x, w}.Normalized();
-      if (ConsiderOnce(&considered, EdgeBits(e))) {
-        frontier.push_back(FrontierEdge{e, e.u == x ? x_slot : ws,
-                                        e.u == x ? ws : x_slot});
-      }
+      frontier.push_back(FrontierEdge{e, e.u == x ? x_slot : ws,
+                                      e.u == x ? ws : x_slot});
     }
+    visit_mark_[x_slot] = generation;
   };
-  push_incident(u_slot);
-  push_incident(v_slot);
+  // The seed edge itself is already in `current`.
+  push_incident(u_slot, v_slot);
+  if (v_slot != u_slot) push_incident(v_slot, -1);
 
   while (frontier_head < frontier.size() &&
          current.edges.size() < max_edges) {
@@ -343,33 +357,15 @@ void StreamMatcher::ReGrow(uint32_t u_slot, uint32_t v_slot) {
         (!has_v && !InAlphabet(label_by_slot_[fe.vs]))) {
       continue;
     }
-
-    Tracked candidate = current;
-    InsertEdgeSorted(&candidate.edges, e);
-    const auto add_vertex = [&candidate](VertexId x, uint32_t xs) {
-      const VertexId* pos = std::lower_bound(candidate.vertices.begin(),
-                                             candidate.vertices.end(), x);
-      const size_t i = static_cast<size_t>(pos - candidate.vertices.begin());
-      candidate.vertices.insert(pos, x);
-      candidate.slots.insert(candidate.slots.begin() + i, xs);
-    };
-    if (!has_u) {
-      add_vertex(e.u, fe.us);
-      scheme.MultiplyVertex(&candidate.signature, label_by_slot_[fe.us]);
-    }
-    if (!has_v) {
-      add_vertex(e.v, fe.vs);
-      scheme.MultiplyVertex(&candidate.signature, label_by_slot_[fe.vs]);
-    }
-    scheme.MultiplyEdge(&candidate.signature, label_by_slot_[fe.us],
-                        label_by_slot_[fe.vs]);
-
-    if (!ResolveNode(&candidate)) continue;  // discard this edge permanently
-    current = std::move(candidate);
-    if (!has_u) push_incident(fe.us);
-    if (!has_v) push_incident(fe.vs);
+    const TpstryNodeId node = Step(current, e, fe.us, fe.vs, has_u, has_v);
+    if (node == kInvalidTpstryNode) continue;  // discard permanently
+    Extend(&current, e, fe.us, fe.vs, has_u, has_v);
+    current.node = node;
+    if (!has_u) push_incident(fe.us, -1);
+    if (!has_v) push_incident(fe.vs, -1);
   }
 
+  current.frequent = frequent_[current.node];
   ++stats_.regrow_matches;
   Insert(std::move(current));
 }
@@ -413,15 +409,17 @@ std::vector<VertexId> StreamMatcher::MatchClosureFor(VertexId v,
   // Reset scratch from the previous walk (bounded by its closure size).
   for (const uint32_t cs : closure_slots_) in_closure_[cs] = 0;
   closure_slots_.clear();
-  seen_keys_.clear();
 
   // `closure_slots_` doubles as the BFS queue: every absorbed slot is
-  // visited exactly once, in absorption order.
+  // visited exactly once, in absorption order; every match is expanded at
+  // most once per walk (its closure mark).
+  const uint64_t walk = ++mark_clock_;
   auto absorb_matches_of = [&](uint32_t x_slot) {
     for (const uint64_t key : keys_by_slot_[x_slot]) {
-      if (!ConsiderOnce(&seen_keys_, key)) continue;
       const auto t = tracked_.find(key);
-      if (t == tracked_.end() || !t->second.frequent) continue;
+      if (t == tracked_.end() || t->second.closure_mark == walk) continue;
+      t->second.closure_mark = walk;
+      if (!t->second.frequent) continue;
       for (const uint32_t member : t->second.slots) {
         if (!in_closure_[member]) {
           in_closure_[member] = 1;

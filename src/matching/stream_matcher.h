@@ -18,16 +18,25 @@
 ///  * matches whose node is *frequent* (support >= threshold) are motif
 ///    matches, the unit LOOM assigns to partitions (§4.4).
 ///
+/// A tracked sub-graph's signature always equals the signature of its trie
+/// node (the lookup that admitted it compared them exactly), so the node one
+/// more edge leads to is a pure function of (node, which endpoints are new,
+/// their labels). A lazily filled *node-transition table* caches that
+/// function: each growth attempt is one array probe, and a sub-graph is
+/// copied only once its growth is accepted. Tracked sub-graphs keep their
+/// node, not their signature.
+///
 /// Signature matching is non-authoritative (collisions possible); the
 /// `verify_exact` option additionally checks the exact canonical form, which
-/// is what tests use as ground truth.
+/// is what tests use as ground truth. That mode bypasses the table and
+/// derives each grown signature from the node's.
 ///
 /// Buffered vertices occupy matcher-internal *slots* (a free-list arena, at
 /// most one per window member), and every per-vertex table — label,
-/// adjacency, tracked-sub-graph index — is a flat array keyed by slot. The
-/// only id-keyed structure is the direct-mapped id→slot index, so the
-/// per-arrival bookkeeping does no hashing at all; hash lookups remain only
-/// for the tracked-sub-graph key table.
+/// adjacency, tracked-sub-graph index, visit mark — is a flat array keyed by
+/// slot. The only id-keyed structure is the direct-mapped id→slot index, so
+/// the per-arrival bookkeeping does no hashing at all; hash lookups remain
+/// only for the tracked-sub-graph key table.
 
 #include <cstdint>
 #include <string>
@@ -106,14 +115,28 @@ class StreamMatcher {
   /// Vertices of every live frequent match (for tests/diagnostics).
   std::vector<std::vector<VertexId>> FrequentMatchVertexSets() const;
 
+  /// Shape of a one-edge growth: how many of the edge's endpoints are new.
+  enum Growth : uint32_t { kEdgeOnly = 0, kOneNew = 1, kBothNew = 2 };
+
+  /// The node-transition table: the node a sub-graph at trie node `from`
+  /// (kInvalidTpstryNode for the empty sub-graph) reaches by one edge of
+  /// shape `g` whose endpoints carry the in-alphabet labels `a` and `b` (for
+  /// kOneNew, `a` is the new endpoint's), or kInvalidTpstryNode when that is
+  /// no trie node or one from which no frequent node is reachable. The entry
+  /// is looked up on first use and cached. Signature-only: the canonical
+  /// check of `verify_exact` is applied by the growth path, not here.
+  TpstryNodeId Transition(TpstryNodeId from, Growth g, Label a, Label b);
+
  private:
   struct Tracked {
     SmallVector<Edge, 8> edges;         // normalized, sorted by encoding
     SmallVector<VertexId, 8> vertices;  // sorted
     SmallVector<uint32_t, 8> slots;     // parallel to `vertices`
-    GraphSignature signature;
+    /// Trie node of the sub-graph; kInvalidTpstryNode for the empty one.
     TpstryNodeId node = kInvalidTpstryNode;
     bool frequent = false;
+    /// Closure walk that last expanded this match (see `mark_clock_`).
+    mutable uint64_t closure_mark = 0;
   };
 
   /// A window edge queued by the re-grow frontier, with both endpoint slots
@@ -126,6 +149,11 @@ class StreamMatcher {
 
   /// Stable key of an edge set (normalized + sorted edges hashed).
   static uint64_t KeyOf(const SmallVector<Edge, 8>& edges);
+
+  /// Adds the normalized edge `e` (endpoint slots `eu_slot`, `ev_slot`) to
+  /// `t`, together with whichever endpoints `t` lacks.
+  static void Extend(Tracked* t, const Edge& e, uint32_t eu_slot,
+                     uint32_t ev_slot, bool has_u, bool has_v);
 
   Label LabelIn(VertexId v) const;
 
@@ -149,9 +177,18 @@ class StreamMatcher {
   /// Attempts S' = S + {u,v}; returns true if the growth was accepted.
   bool TryGrow(const Tracked& base, uint32_t u_slot, uint32_t v_slot);
 
-  /// Builds a Tracked for the given edge set; returns false when its
-  /// signature is not a TPSTry++ node (or verification fails).
-  bool ResolveNode(Tracked* t) const;
+  /// The node `t` reaches when the normalized edge `e` (endpoint slots
+  /// `eu_slot`, `ev_slot`; `has_u`/`has_v` say which endpoints `t` already
+  /// holds) is added, or kInvalidTpstryNode when the grown signature is no
+  /// TPSTry++ node, fails verification, or cannot reach a frequent node.
+  TpstryNodeId Step(const Tracked& t, const Edge& e, uint32_t eu_slot,
+                    uint32_t ev_slot, bool has_u, bool has_v);
+
+  /// Trie lookup behind a `Transition` entry: multiplies the factors of the
+  /// growth into the signature of `from` and finds the node (verified
+  /// against `canonical` when given), filtered by `useful_`.
+  TpstryNodeId Lookup(TpstryNodeId from, Growth g, Label a, Label b,
+                      const std::string* canonical) const;
 
   /// Inserts a tracked sub-graph (deduplicated); returns true if inserted.
   bool Insert(Tracked t);
@@ -162,10 +199,23 @@ class StreamMatcher {
   /// Exact canonical form of the tracked sub-graph (verify_exact mode).
   std::string CanonicalOf(const Tracked& t) const;
 
+  /// Marks a table entry not yet looked up.
+  static constexpr TpstryNodeId kUnresolved = kInvalidTpstryNode - 1;
+
   const TpstryPP* trie_;
   StreamMatcherOptions options_;
   std::vector<bool> frequent_;  // by node id
   std::vector<bool> useful_;    // by node id: frequent node reachable
+
+  /// Node-transition table, row-major: row 0 is the empty sub-graph and row
+  /// n + 1 trie node n; within a row, [growth][code(a)][code(b)]. Entries
+  /// hold the `Lookup` answer or kUnresolved. Labels are indexed by
+  /// `label_code_` (1 + rank among the labels some trie motif uses; 0 for
+  /// the rest, whose growths always miss), so a row has 3 * C * C entries
+  /// for the C labels the motifs use, however wide the alphabet.
+  std::vector<TpstryNodeId> next_;
+  std::vector<uint32_t> label_code_;
+  uint32_t num_codes_ = 0;
   StreamMatcherStats stats_;
 
   /// Direct-mapped id→slot index (-1 = not buffered); ids are dense, the
@@ -183,12 +233,19 @@ class StreamMatcher {
 
   FlatMap<uint64_t, Tracked> tracked_;
 
+  /// Visit marks are generation stamps: each re-grow, frontier expansion
+  /// and closure walk draws a fresh value from `mark_clock_`, so a mark is
+  /// set in O(1) and no walk ever clears one. `visit_mark_` (by slot) holds
+  /// the re-grow generation once a vertex's incident edges are queued, or
+  /// the expansion that last saw it as a neighbour.
+  mutable uint64_t mark_clock_ = 0;
+  std::vector<uint64_t> visit_mark_;
+
   /// Closure-walk scratch, reused across calls so the eviction path never
-  /// allocates: slots absorbed so far (doubling as the BFS queue), a
-  /// membership byte per slot, and the match keys already expanded.
+  /// allocates: slots absorbed so far (doubling as the BFS queue) and a
+  /// membership byte per slot.
   mutable SmallVector<uint32_t, 64> closure_slots_;
   mutable std::vector<uint8_t> in_closure_;
-  mutable SmallVector<uint64_t, 64> seen_keys_;
 };
 
 }  // namespace loom

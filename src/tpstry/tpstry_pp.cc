@@ -223,10 +223,6 @@ std::optional<TpstryNodeId> TpstryPP::FindBySignature(
   return std::nullopt;
 }
 
-bool TpstryPP::SignatureKnown(const GraphSignature& sig) const {
-  return FindBySignature(sig).has_value();
-}
-
 std::optional<TpstryNodeId> TpstryPP::RootFor(Label label) const {
   const auto it = roots_.find(label);
   if (it == roots_.end()) return std::nullopt;

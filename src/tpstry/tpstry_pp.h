@@ -118,10 +118,6 @@ class TpstryPP {
   std::optional<TpstryNodeId> FindBySignature(
       const GraphSignature& sig, const std::string* canonical = nullptr) const;
 
-  /// True iff some node's signature equals `sig` — the stream matcher's
-  /// fast-path test mirroring the paper's "signature is a match for a node".
-  bool SignatureKnown(const GraphSignature& sig) const;
-
   /// Root node for a vertex label, if that label occurs in any query.
   std::optional<TpstryNodeId> RootFor(Label label) const;
 

@@ -185,6 +185,39 @@ TEST(PipelineEquivalence, AssignmentsMatchPreOverhaulGoldens) {
   }
 }
 
+// LOOM alone on a larger natural-order BA stream at the motif density and
+// label skew of the loom-natural benchmark (20k vertices, labels zipf 0.4,
+// threshold 0.2), where the matcher does most of a pass's work. Captured
+// from the signature-multiplying matcher; regenerate with LOOM_EQUIV_DUMP=1.
+constexpr uint64_t kGoldenLoomNaturalBa = 0x4668f71b67036fdbull;
+
+TEST(PipelineEquivalence, LoomOnNaturalOrderBaMatchesGolden) {
+  const Workload workload = MakeWorkload();
+  constexpr uint32_t n = 20000;
+  Rng rng(31);
+  LabeledGraph g = BarabasiAlbert(n, 4, LabelConfig{4, 0.4}, rng);
+  for (const QuerySpec& q : workload.queries()) {
+    PlantMotifs(&g, q.pattern, n / 24, rng, /*locality_span=*/32);
+  }
+  const GraphStream stream = MakeStream(g, StreamOrder::kNatural, rng);
+  LoomOptions lopts;
+  lopts.partitioner.k = kK;
+  lopts.partitioner.num_vertices_hint = n;
+  lopts.partitioner.num_edges_hint = g.NumEdges();
+  lopts.partitioner.window_size = 256;
+  lopts.matcher.frequency_threshold = 0.2;
+  auto loom = Loom::Create(workload, lopts);
+  ASSERT_TRUE(loom.ok());
+  (*loom)->Partitioner().Run(stream);
+  const uint64_t h = AssignmentHash((*loom)->Partitioner().assignment(), n);
+  if (std::getenv("LOOM_EQUIV_DUMP") != nullptr) {
+    std::cout << "kGoldenLoomNaturalBa = 0x" << std::hex << h << std::dec
+              << "ull\n";
+    return;
+  }
+  EXPECT_EQ(h, kGoldenLoomNaturalBa);
+}
+
 // Determinism guard: the pipeline run twice from scratch must agree with
 // itself — catches any accidental dependence on container iteration order or
 // address-seeded hashing sneaking into placement decisions.
