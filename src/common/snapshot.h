@@ -13,9 +13,14 @@
 /// pointer arbitrarily long ago still dereferences live memory. No hazard
 /// pointers, no RCU grace periods, no reference counts on the read path —
 /// the read side is a single `memory_order_acquire` load and is genuinely
-/// lock-free and wait-free. The cost is memory growth linear in the number
-/// of publishes; boards are therefore suited to *coarse* publication
-/// cadences (per ingest batch / per drift reaction), not per-item updates.
+/// lock-free and wait-free. The cost is that memory grows with every
+/// publish by whatever each snapshot owns: a payload that shares unchanged
+/// parts with its predecessors (like the copy-on-write `PlacementSnapshot`)
+/// grows it by the size of each update, a self-contained one by its whole
+/// size. Retention is also what makes such sharing safe: a predecessor
+/// outlives every snapshot that points into it. Boards suit *coarse*
+/// publication cadences (per ingest batch / per drift reaction), not
+/// per-item updates.
 ///
 /// Thread-safety: `Publish` may be called from multiple threads (writers
 /// serialise on an internal mutex, which readers never touch); `Read`,

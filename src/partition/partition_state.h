@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/span.h"
 #include "common/status.h"
 #include "graph/graph.h"
 
@@ -67,6 +68,10 @@ class PartitionAssignment {
 
   /// One past the largest vertex id ever assigned; bound for PartOf scans.
   size_t IdBound() const { return part_of_.size(); }
+
+  /// Read-only view of every placement, `PartOf(v)` at index v for each
+  /// v < IdBound(). Invalidated by the next assignment.
+  Span<const int32_t> PartOfSpan() const { return part_of_; }
 
   /// Vertices placed past the capacity bound C via ForceAssign.
   size_t NumOverflowed() const { return num_overflowed_; }

@@ -92,9 +92,9 @@ Service::Service(ServiceOptions options, uint32_t num_labels,
                  std::unique_ptr<StreamingPartitioner> partitioner,
                  MotifDistribution reference)
     : options_(std::move(options)),
-      num_labels_(num_labels),
       trie_(std::move(trie)),
       partitioner_(std::move(partitioner)),
+      snapshot_builder_(num_labels),
       tracker_(num_labels, options_.tracker),
       controller_(options_.drift) {
   loom_ = dynamic_cast<LoomPartitioner*>(partitioner_.get());
@@ -296,11 +296,12 @@ void Service::RunReaction(std::unique_ptr<TpstryPP> drifted_trie,
 }
 
 void Service::PublishSnapshot() {
-  auto snapshot = std::make_unique<PlacementSnapshot>(MakePlacementSnapshot(
-      partitioner_->assignment(), label_of_, num_labels_, next_epoch_));
-  snapshot_epoch_.store(next_epoch_, std::memory_order_relaxed);
+  board_.Publish(snapshot_builder_.Build(partitioner_->assignment(),
+                                         label_of_, next_epoch_));
+  // Stored after the publish: a reader that sees this epoch in Stats()
+  // gets a snapshot at least as new from Snapshot().
+  snapshot_epoch_.store(next_epoch_, std::memory_order_release);
   ++next_epoch_;
-  board_.Publish(std::move(snapshot));
   snapshots_published_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -323,7 +324,7 @@ ServiceStats Service::Stats() const {
   stats.observed_queries = observed_queries_.load(std::memory_order_relaxed);
   stats.snapshots_published =
       snapshots_published_.load(std::memory_order_relaxed);
-  stats.snapshot_epoch = snapshot_epoch_.load(std::memory_order_relaxed);
+  stats.snapshot_epoch = snapshot_epoch_.load(std::memory_order_acquire);
   stats.drift_checks = drift_checks_.load(std::memory_order_relaxed);
   stats.drift_fires = drift_fires_.load(std::memory_order_relaxed);
   stats.drift_reactions = drift_reactions_.load(std::memory_order_relaxed);

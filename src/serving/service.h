@@ -204,7 +204,8 @@ class Service {
   void RunReaction(std::unique_ptr<TpstryPP> drifted_trie,
                    MotifDistribution current);
 
-  /// Pipeline-thread: freeze + publish the live assignment.
+  /// Pipeline-thread: freeze + publish the live assignment, copying only
+  /// the placement chunks changed since the previous publish.
   void PublishSnapshot();
 
   /// Pipeline-thread: mirror PartitionerStats pressure counters into
@@ -216,7 +217,6 @@ class Service {
   void EnqueuePipelineTask(F&& task);
 
   ServiceOptions options_;
-  const uint32_t num_labels_;
 
   /// Workload summary the partitioner scores against; swapped on reaction
   /// (pipeline thread only after construction). Null for non-LOOM
@@ -232,6 +232,9 @@ class Service {
   std::vector<Label> label_of_;
   uint64_t next_epoch_ = 0;
 
+  /// Builds each snapshot from the previous one (pipeline thread only);
+  /// `board_` retains every snapshot, so their shared chunks stay valid.
+  PlacementSnapshotBuilder snapshot_builder_;
   SnapshotBoard<PlacementSnapshot> board_;
 
   /// Workload/drift state, guarded by `tracker_mu_`. The controller is

@@ -52,10 +52,12 @@ struct ServiceOptions {
   uint64_t drift_check_every_queries = 64;
 
   /// Snapshot cadence: publish a fresh placement snapshot every N processed
-  /// ingest batches (a publish copies the assignment, O(vertices); every
-  /// snapshot is retained for the service's lifetime — see
-  /// common/snapshot.h — so very small values on very long streams trade
-  /// memory for freshness). Reactions and `Seal` always publish.
+  /// ingest batches. A publish compares the assignment with the previous
+  /// snapshot chunk by chunk and copies only the 64-vertex chunks that
+  /// changed, so its cost and the memory it retains (every snapshot lives
+  /// for the service's lifetime — see common/snapshot.h) scale with the
+  /// placements changed since the last publish. Reactions and `Seal`
+  /// always publish.
   uint32_t publish_every_batches = 1;
 
   /// Test/bench hook, called on the pipeline thread after each ingest batch

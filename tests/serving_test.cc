@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -362,15 +364,28 @@ TEST(ServingSnapshotTest, EpochsAreMonotoneAndSizesStayConsistent) {
     readers.emplace_back([&] {
       uint64_t last_epoch = 0;
       while (!stop.load(std::memory_order_acquire)) {
+        // Stats() names only epochs Snapshot() already returns.
+        const uint64_t stats_epoch = service.Stats().snapshot_epoch;
         const PlacementSnapshot* snap = service.Snapshot();
         if (snap == nullptr) continue;
+        if (snap->epoch < stats_epoch) torn.store(true);
         // Epochs only move forward, and every snapshot is internally
-        // consistent: the per-partition sizes sum to the assigned count.
+        // consistent: the per-partition sizes, the label histogram (every
+        // label is in the alphabet) and the located ids all count the
+        // assigned vertices.
         if (snap->epoch < last_epoch) torn.store(true);
         last_epoch = snap->epoch;
         size_t total = 0;
         for (const uint32_t size : snap->sizes) total += size;
         if (total != snap->num_assigned) torn.store(true);
+        size_t labelled = 0;
+        for (const uint32_t count : snap->label_counts) labelled += count;
+        if (labelled != snap->num_assigned) torn.store(true);
+        size_t located = 0;
+        for (VertexId v = 0; v < s.g.NumVertices(); ++v) {
+          located += snap->Locate(v) >= 0 ? 1 : 0;
+        }
+        if (located != snap->num_assigned) torn.store(true);
       }
     });
   }
@@ -391,6 +406,224 @@ TEST(ServingSnapshotTest, EpochsAreMonotoneAndSizesStayConsistent) {
   EXPECT_GE(stats.snapshots_published,
             arrivals.size() / 32 / opts.publish_every_batches);
   EXPECT_EQ(stats.snapshot_epoch + 1, stats.snapshots_published);
+}
+
+/// FNV-1a over `Locate(v)` for every v below `id_limit`.
+uint64_t LocateHash(const PlacementSnapshot& snapshot, VertexId id_limit) {
+  uint64_t hash = 1469598103934665603ull;
+  for (VertexId v = 0; v < id_limit; ++v) {
+    hash ^= static_cast<uint32_t>(snapshot.Locate(v));
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+/// Checks `snapshot` against a naive full recount: `Locate` equals the
+/// reference `part_of` for every id below `id_limit`, and `sizes`,
+/// `num_assigned` and `label_counts` equal the counts of that placement
+/// under `label_of` (ids past its end count as label 0).
+template <typename PartOf>
+void ExpectEqualsFullRecount(const PlacementSnapshot& snapshot,
+                             PartOf&& part_of,
+                             const std::vector<Label>& label_of,
+                             VertexId id_limit) {
+  const uint32_t num_labels = snapshot.num_labels;
+  std::vector<uint32_t> sizes(snapshot.k, 0);
+  std::vector<uint32_t> counts(size_t{snapshot.k} * num_labels, 0);
+  size_t assigned = 0;
+  for (VertexId v = 0; v < id_limit; ++v) {
+    const int32_t p = part_of(v);
+    ASSERT_EQ(snapshot.Locate(v), p)
+        << "epoch " << snapshot.epoch << " vertex " << v;
+    if (p < 0) continue;
+    ++assigned;
+    ++sizes[static_cast<size_t>(p)];
+    const Label label = v < label_of.size() ? label_of[v] : 0;
+    if (label < num_labels) {
+      ++counts[static_cast<size_t>(p) * num_labels + label];
+    }
+  }
+  EXPECT_EQ(snapshot.num_assigned, assigned) << "epoch " << snapshot.epoch;
+  EXPECT_EQ(snapshot.sizes, sizes) << "epoch " << snapshot.epoch;
+  EXPECT_EQ(snapshot.label_counts, counts) << "epoch " << snapshot.epoch;
+}
+
+TEST(ServingSnapshotTest, IncrementalSnapshotsEqualAFullRecount) {
+  // Every third id is never ingested, and the id bound (1049) is not a
+  // multiple of the 64-vertex chunk.
+  const Scenario s = MakeScenario(700, 29);
+  const auto id_of = [](VertexId v) { return v + v / 2; };
+  const VertexId id_bound = id_of(s.g.NumVertices() - 1) + 1;
+  ASSERT_NE(id_bound % 64, 0u);
+  const VertexId id_limit = id_bound + 64;
+  std::vector<std::vector<VertexArrival>> batches;
+  for (const VertexArrival& a : s.stream.arrivals()) {
+    if (batches.empty() || batches.back().size() == 50) batches.emplace_back();
+    VertexArrival mapped;
+    mapped.vertex = id_of(a.vertex);
+    mapped.label = a.label;
+    for (const VertexId w : a.back_edges) mapped.back_edges.push_back(id_of(w));
+    batches.back().push_back(std::move(mapped));
+  }
+  const size_t half = batches.size() / 2;
+
+  ServiceOptions opts = BaseOptions(s, 4);
+  opts.loom.partitioner.num_vertices_hint = id_bound;
+  opts.drift_check_every_queries = 8;
+  struct Published {
+    const PlacementSnapshot* snapshot;
+    uint64_t hash;
+    size_t batches;  // ingest batches the snapshot covers
+  };
+  std::vector<Published> published;
+  const Service* reader = nullptr;
+  const auto record = [&](size_t covered) {
+    const PlacementSnapshot* snap = reader->Snapshot();
+    published.push_back({snap, LocateHash(*snap, id_limit), covered});
+  };
+  // Runs on the pipeline worker right after each batch's publish.
+  opts.on_batch_processed = [&](uint64_t seq) { record(seq + 1); };
+  auto created = Service::Create(SmallWorkload(), opts);
+  ASSERT_TRUE(created.ok());
+  Service& service = **created;
+  reader = &service;
+
+  for (size_t b = 0; b < half; ++b) {
+    ASSERT_TRUE(service.Ingest(batches[b]).ok());
+  }
+  service.Flush();
+  // Drifted traffic until the detector fires; the reaction then runs on
+  // the worker and publishes its adopted placement.
+  Workload drifted;
+  (void)drifted.Add("tri", TriangleQuery(2, 3, 2), 2.0);
+  (void)drifted.Add("star", StarQuery(3, {2, 2}), 1.0);
+  drifted.Normalize();
+  Rng rng(5);
+  for (int i = 0; i < 20000 && service.Stats().drift_fires == 0; ++i) {
+    const QuerySpec& q = drifted.queries()[drifted.SampleIndex(rng)];
+    ASSERT_TRUE(service.ObserveQuery(q.pattern).ok());
+  }
+  ASSERT_EQ(service.Stats().drift_fires, 1u);
+  service.Flush();
+  ASSERT_EQ(service.Stats().drift_reactions, 1u);
+  record(half);
+  const size_t reaction_index = published.size() - 1;
+  for (size_t b = half; b < batches.size(); ++b) {
+    ASSERT_TRUE(service.Ingest(batches[b]).ok());
+  }
+  ASSERT_TRUE(service.Seal().ok());
+  record(batches.size());
+  // Every publish after the pre-ingest epoch 0 was recorded.
+  ASSERT_EQ(published.size() + 1, service.Stats().snapshots_published);
+
+  // Before the reaction the live placement is the serial pipeline's, fed
+  // the same batches; from the reaction on the reference is the snapshot's
+  // own Locate, whose recount must still match the copied sizes.
+  auto trie = BuildTrie(SmallWorkload(), opts.loom.paths_only);
+  ASSERT_TRUE(trie.ok());
+  auto serial = MakePartitioner("loom", opts.loom, trie->get());
+  ASSERT_TRUE(serial.ok());
+  std::vector<Label> label_of(id_bound, 0);
+  size_t fed = 0;
+  uint64_t last_epoch = 0;
+  for (size_t i = 0; i < published.size(); ++i) {
+    const Published& p = published[i];
+    SCOPED_TRACE("epoch " + std::to_string(p.snapshot->epoch));
+    EXPECT_GT(p.snapshot->epoch, last_epoch);
+    last_epoch = p.snapshot->epoch;
+    for (; fed < p.batches; ++fed) {
+      for (const VertexArrival& a : batches[fed]) {
+        label_of[a.vertex] = a.label;
+        if (i < reaction_index) {
+          (*serial)->OnVertex(a.vertex, a.label, a.back_edges);
+        }
+      }
+    }
+    if (i < reaction_index) {
+      const PartitionAssignment& live = (*serial)->assignment();
+      ExpectEqualsFullRecount(
+          *p.snapshot, [&](VertexId v) { return live.PartOf(v); }, label_of,
+          id_limit);
+    } else {
+      ExpectEqualsFullRecount(
+          *p.snapshot, [&](VertexId v) { return p.snapshot->Locate(v); },
+          label_of, id_limit);
+    }
+  }
+  // The sealed snapshot places every ingested id and nothing else.
+  const PlacementSnapshot& sealed = *published.back().snapshot;
+  for (VertexId v = 0; v < s.g.NumVertices(); ++v) {
+    EXPECT_GE(sealed.Locate(id_of(v)), 0) << "vertex " << id_of(v);
+    if (id_of(v) + 1 < id_bound && id_of(v + 1) != id_of(v) + 1) {
+      EXPECT_EQ(sealed.Locate(id_of(v) + 1), -1) << "gap " << id_of(v) + 1;
+    }
+  }
+  // Retained snapshots are immutable: later publishes and the reaction
+  // left every earlier Locate table as it was.
+  for (const Published& p : published) {
+    EXPECT_EQ(LocateHash(*p.snapshot, id_limit), p.hash)
+        << "epoch " << p.snapshot->epoch;
+  }
+}
+
+TEST(ServingSnapshotTest, BuilderDeltaStaysExactAcrossRelabelsAndBoundChanges) {
+  // The builder on hand-made assignments, each replacing the last the way
+  // AdoptAssignment replaces the live one. Label 3 is outside the
+  // alphabet: placed, never counted.
+  PlacementSnapshotBuilder builder(/*num_labels=*/3);
+  constexpr VertexId kIdLimit = 400;
+  std::vector<std::unique_ptr<const PlacementSnapshot>> retained;
+  std::vector<uint64_t> hashes;
+  const auto publish = [&](const PartitionAssignment& a,
+                           const std::vector<Label>& labels) {
+    retained.push_back(builder.Build(a, labels, retained.size()));
+    ExpectEqualsFullRecount(
+        *retained.back(), [&](VertexId v) { return a.PartOf(v); }, labels,
+        kIdLimit);
+    hashes.push_back(LocateHash(*retained.back(), kIdLimit));
+  };
+  std::vector<Label> labels(kIdLimit);
+  for (VertexId v = 0; v < kIdLimit; ++v) labels[v] = v % 4;
+
+  PartitionAssignment live(4, /*capacity=*/0);
+  publish(live, labels);
+  // Sparse ids up to a bound of 148, inside a partial last chunk.
+  for (VertexId v = 0; v < 150; v += 3) ASSERT_TRUE(live.Assign(v, v % 4).ok());
+  publish(live, labels);
+  // Placed vertices re-ingested with new labels, partitions unchanged: one
+  // moves between counted labels, one leaves the alphabet, one enters it.
+  labels[9] = 2;
+  labels[12] = 3;
+  labels[15] = 0;
+  publish(live, labels);
+  // Growth inside the partial chunk and three chunks past it, with ids
+  // past the end of the label table (label 0).
+  ASSERT_TRUE(live.Assign(149, 1).ok());
+  ASSERT_TRUE(live.Assign(330, 2).ok());
+  labels.resize(300);
+  publish(live, labels);
+  // An adopted assignment with a bound that shrinks mid-chunk and moves
+  // some survivors.
+  PartitionAssignment shrunk(4, 0);
+  for (VertexId v = 0; v < 100; v += 3) {
+    ASSERT_TRUE(shrunk.Assign(v, v % 7 == 0 ? (v + 1) % 4 : v % 4).ok());
+  }
+  publish(shrunk, labels);
+  // ... then one that grows again, densely.
+  PartitionAssignment grown(4, 0);
+  for (VertexId v = 0; v < 390; ++v) ASSERT_TRUE(grown.Assign(v, v % 4).ok());
+  labels.assign(kIdLimit, 1);
+  publish(grown, labels);
+  // Another k cannot be diffed: built against an empty predecessor.
+  PartitionAssignment three_way(3, 0);
+  for (VertexId v = 0; v < 200; v += 2) {
+    ASSERT_TRUE(three_way.Assign(v, v % 3).ok());
+  }
+  publish(three_way, labels);
+
+  for (size_t i = 0; i < retained.size(); ++i) {
+    EXPECT_EQ(LocateHash(*retained[i], kIdLimit), hashes[i]) << "build " << i;
+  }
 }
 
 // --------------------------------------------------------- drift reactions
