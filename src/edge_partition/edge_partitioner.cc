@@ -77,6 +77,10 @@ EdgePartitioner::EdgePartitioner(const EdgePartitionerOptions& options)
     degree_.reserve(options_.num_vertices_hint);
     label_of_.reserve(options_.num_vertices_hint);
     if (has_heat_) heat_scale_.reserve(options_.num_vertices_hint);
+    replicas_.ReserveVertices(options_.num_vertices_hint);
+  }
+  if (options_.record_placements) {
+    placements_.reserve(options_.num_edges_hint);
   }
   RebuildLoadBounds();
 }
@@ -151,9 +155,8 @@ uint32_t EdgePartitioner::OnEdge(VertexId u, VertexId v) {
 
 void EdgePartitioner::BeginPass(const std::vector<uint32_t>* prior) {
   // Rebuild in place: a restream pass re-streams the identical arrival
-  // sequence, so every retained map node is re-filled and no allocation or
-  // hash insert happens after the first pass. Reset, not BeginPass, is the
-  // operation that forgets the vertex population.
+  // sequence, so the retained replica and placement tables are re-filled
+  // and no allocation happens after the first pass.
   replicas_.BeginRebuild();
   std::fill(edge_counts_.begin(), edge_counts_.end(), 0);
   placements_.clear();
@@ -165,9 +168,6 @@ void EdgePartitioner::BeginPass(const std::vector<uint32_t>* prior) {
 }
 
 void EdgePartitioner::Reset() {
-  // Unlike BeginPass, drop the replica map's retained nodes too: the next
-  // stream may cover a different vertex population.
-  replicas_ = ReplicaSet();
   BeginPass(nullptr);
   degree_.clear();
   label_of_.clear();
@@ -181,17 +181,27 @@ void EdgePartitioner::SetMigrationBudget(uint64_t max_moves) {
 void EdgePartitioner::NoteEdgeCountIncrement(uint32_t p) {
   const uint64_t count = edge_counts_[p];
   if (count > max_load_) max_load_ = count;
-  if (count - 1 == min_load_ && --num_at_min_ == 0) {
-    // The partition leaving the minimum sits at exactly min + 1, and every
-    // other count already exceeded the old min, so min + 1 is the new
-    // minimum and the recount always finds it populated. The min rises at
-    // most once per placed edge, so the O(k) recount is amortized O(1).
-    ++min_load_;
-    for (const uint64_t c : edge_counts_) {
-      num_at_min_ += static_cast<uint32_t>(c == min_load_);
+  if (count - 1 == min_load_) {
+    min_words_[p >> 6] &= ~(uint64_t{1} << (p & 63));
+    if (--num_at_min_ == 0) {
+      // The partition leaving the minimum sits at exactly min + 1, and
+      // every other count already exceeded the old min, so min + 1 is the
+      // new minimum and the recount always finds it populated. The min
+      // rises at most once per placed edge, so the O(k) recount is
+      // amortized O(1).
+      ++min_load_;
+      MarkPartitionsAtMin();
     }
   }
   if (AtEdgeCapacity(p)) full_words_[p >> 6] |= uint64_t{1} << (p & 63);
+}
+
+void EdgePartitioner::MarkPartitionsAtMin() {
+  for (uint32_t q = 0; q < options_.k; ++q) {
+    const uint64_t at_min = edge_counts_[q] == min_load_ ? 1 : 0;
+    num_at_min_ += static_cast<uint32_t>(at_min);
+    min_words_[q >> 6] |= at_min << (q & 63);
+  }
 }
 
 void EdgePartitioner::RebuildLoadBounds() {
@@ -202,9 +212,8 @@ void EdgePartitioner::RebuildLoadBounds() {
     if (c < min_load_) min_load_ = c;
   }
   num_at_min_ = 0;
-  for (const uint64_t c : edge_counts_) {
-    num_at_min_ += static_cast<uint32_t>(c == min_load_);
-  }
+  min_words_.assign((options_.k + 63) / 64, 0);
+  MarkPartitionsAtMin();
   full_words_.assign((options_.k + 63) / 64, 0);
   for (uint32_t p = 0; p < options_.k; ++p) {
     if (AtEdgeCapacity(p)) full_words_[p >> 6] |= uint64_t{1} << (p & 63);
@@ -239,7 +248,7 @@ uint32_t EdgePartitioner::FallbackPartition(VertexId u, VertexId v) {
   ++stats_.cap_relaxations;
   best = options_.k;
   for (const VertexId x : {u, v}) {
-    const std::vector<uint32_t>* parts = replicas_.PartitionsOf(x);
+    const ReplicaSet::ReplicaList* parts = replicas_.PartitionsOf(x);
     if (parts == nullptr) continue;
     for (const uint32_t p : *parts) {
       // Canonical least-loaded-then-lowest-index order, independent of the

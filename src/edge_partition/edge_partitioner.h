@@ -254,14 +254,15 @@ class EdgePartitioner {
   /// within a pass, so the min can only rise — when the last partition at
   /// the minimum leaves it, the tracker recounts at min+1, which is always
   /// populated; the recount runs at most min(m, m/k · k) = m times total,
-  /// so the amortized cost is O(1) per edge), and sets the partition's
-  /// full bit when the increment reaches its budget.
+  /// so the amortized cost is O(1) per edge), clears p's at-minimum bit
+  /// when p leaves the minimum, and sets the partition's full bit when the
+  /// increment reaches its budget.
   void NoteEdgeCountIncrement(uint32_t p);
 
   /// O(k) recompute of max/min load, the min population count and the
-  /// full-partition bit words from `edge_counts_` and the edge budget.
-  /// Called whenever counts change non-incrementally (construction,
-  /// BeginPass).
+  /// at-minimum and full-partition bit words from `edge_counts_` and the
+  /// edge budget. Called whenever counts change non-incrementally
+  /// (construction, BeginPass).
   void RebuildLoadBounds();
 
   EdgePartitionerOptions options_;
@@ -288,8 +289,16 @@ class EdgePartitioner {
   /// Bit p of word w set iff partition 64w + p is at/past its edge budget.
   /// ceil(k / 64) words; kernels AND the complement into eligibility.
   std::vector<uint64_t> full_words_;
+  /// Bit p of word w set iff partition 64w + p holds exactly `min_load_`
+  /// edges (`num_at_min_` bits in all). ceil(k / 64) words; HDRF's balance
+  /// group reads its least-loaded candidate from them.
+  std::vector<uint64_t> min_words_;
 
  private:
+  /// Adds every partition whose count equals `min_load_` to `num_at_min_`
+  /// and sets its at-minimum bit.
+  void MarkPartitionsAtMin();
+
   void GrowTables(VertexId v);
 
   /// Recomputes heat_scale_[v] from the current label (no-op without the

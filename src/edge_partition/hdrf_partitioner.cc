@@ -94,13 +94,25 @@ uint32_t HdrfPartitioner::PickPartition(VertexId u, VertexId v) {
       // relative gap is ≥ 1 / (maxsize − minsize) ≥ 1/m — far above the
       // 2⁻⁵² ulp where correctly-rounded division or the λ multiply
       // could collapse them, for any m below ~4 · 10¹⁵ edges.
-      while (bal != 0) {
-        const uint32_t p = low + LowestBit(bal);
-        bal &= bal - 1;
-        const uint64_t count = edge_counts_[p];
-        if (best_bal == k || count < best_bal_count) {
-          best_bal = p;
-          best_bal_count = count;
+      //
+      // A candidate at the global minimum load is the word's argmin
+      // outright — nothing counts less, and its lowest bit is the lowest
+      // index among the ties — so only a word without one is scanned.
+      const uint64_t at_min = bal & min_words_[w];
+      if (at_min != 0) {
+        if (best_bal == k || min_load_ < best_bal_count) {
+          best_bal = low + LowestBit(at_min);
+          best_bal_count = min_load_;
+        }
+      } else {
+        while (bal != 0) {
+          const uint32_t p = low + LowestBit(bal);
+          bal &= bal - 1;
+          const uint64_t count = edge_counts_[p];
+          if (best_bal == k || count < best_bal_count) {
+            best_bal = p;
+            best_bal_count = count;
+          }
         }
       }
     }

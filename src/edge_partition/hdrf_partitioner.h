@@ -27,11 +27,13 @@
 /// bitmasks and the partitioner's full-partition bit words, replica-
 /// affinity candidates are the set bits of mask(u) | mask(v) (the only
 /// partitions with a nonzero C_REP), the balance-only sweep reduces to an
-/// integer least-loaded argmin, and maxsize/minsize come from the
-/// incrementally maintained load bounds — no hash probes and no O(k)
-/// min/max scan per edge. It is placement-bit-identical to the reference
-/// scalar loop (kept as PickPartitionScalar, selectable via
-/// set_force_scalar_kernel for the golden-hash equivalence tests).
+/// integer least-loaded argmin — read in O(1) from the at-minimum bit
+/// words whenever a candidate sits at the minimum load — and
+/// maxsize/minsize come from the incrementally maintained load bounds: no
+/// hash probes and no O(k) min/max scan per edge. It is placement-bit-
+/// identical to the reference scalar loop (kept as PickPartitionScalar,
+/// selectable via set_force_scalar_kernel for the golden-hash equivalence
+/// tests).
 
 #include <string>
 

@@ -40,38 +40,37 @@ void ReplicaSet::ClearMaskBit(VertexId v, uint32_t partition) {
 void ReplicaSet::Add(VertexId v, uint32_t partition) {
   // Mask-first: the hot edge-partition path calls Add twice per edge and
   // the replica almost always exists already — answer that case from the
-  // dense table without hashing.
+  // mask row alone.
   if (Has(v, partition)) return;
   SetMaskBit(v, partition);
-  replicas_[v].push_back(partition);
+  if (v >= lists_.size()) lists_.resize(static_cast<size_t>(v) + 1);
+  ReplicaList& parts = lists_[v];
+  if (parts.empty()) ++num_replicated_vertices_;
+  parts.push_back(partition);
   ++num_replicas_;
 }
 
 bool ReplicaSet::Remove(VertexId v, uint32_t partition) {
   if (!Has(v, partition)) return false;
-  const auto it = replicas_.find(v);
-  auto& parts = it->second;
-  const auto pos = std::find(parts.begin(), parts.end(), partition);
+  ReplicaList& parts = lists_[v];
   // erase (not swap-and-pop) keeps insertion order, so removing the
   // primary promotes the oldest surviving secondary.
-  parts.erase(pos);
+  parts.erase(std::find(parts.begin(), parts.end(), partition));
   ClearMaskBit(v, partition);
   --num_replicas_;
-  if (parts.empty()) replicas_.erase(it);
+  if (parts.empty()) --num_replicated_vertices_;
   return true;
 }
 
 void ReplicaSet::BeginRebuild() {
-  for (auto& [vertex, parts] : replicas_) {
-    (void)vertex;
-    parts.clear();
-  }
+  for (ReplicaList& parts : lists_) parts.clear();
   std::fill(masks_.begin(), masks_.end(), 0);
   num_replicas_ = 0;
+  num_replicated_vertices_ = 0;
 }
 
 void ReplicaSet::ReserveVertices(size_t num_vertices) {
-  replicas_.reserve(num_vertices);
+  lists_.reserve(num_vertices);
   masks_.reserve(num_vertices * words_per_vertex_);
 }
 
@@ -85,33 +84,25 @@ uint32_t ReplicaSet::MaskCountOf(VertexId v) const {
   return count;
 }
 
-const std::vector<uint32_t>* ReplicaSet::PartitionsOf(VertexId v) const {
-  const auto it = replicas_.find(v);
-  // A node emptied by BeginRebuild and not yet re-filled reads as absent.
-  if (it == replicas_.end() || it->second.empty()) return nullptr;
-  return &it->second;
-}
-
 uint32_t ReplicaSet::PrimaryOf(VertexId v) const {
-  const auto it = replicas_.find(v);
-  if (it == replicas_.end() || it->second.empty()) return kNoReplica;
-  return it->second.front();
+  const ReplicaList* parts = PartitionsOf(v);
+  return parts == nullptr ? kNoReplica : parts->front();
 }
 
 size_t ReplicaSet::NumReplicasOf(VertexId v) const {
-  const auto it = replicas_.find(v);
-  return it == replicas_.end() ? 0 : it->second.size();
+  return v < lists_.size() ? lists_[v].size() : 0;
 }
 
 bool ReplicaSet::CheckInvariants() const {
   size_t total = 0;
-  VertexId max_vertex = 0;
-  for (const auto& [vertex, parts] : replicas_) {
-    max_vertex = std::max(max_vertex, vertex);
-    if (parts.empty()) return false;
-    for (size_t i = 0; i < parts.size(); ++i) {
-      for (size_t j = i + 1; j < parts.size(); ++j) {
-        if (parts[i] == parts[j]) return false;
+  size_t non_empty = 0;
+  for (size_t i = 0; i < lists_.size(); ++i) {
+    const VertexId vertex = static_cast<VertexId>(i);
+    const ReplicaList& parts = lists_[i];
+    if (!parts.empty()) ++non_empty;
+    for (size_t a = 0; a < parts.size(); ++a) {
+      for (size_t b = a + 1; b < parts.size(); ++b) {
+        if (parts[a] == parts[b]) return false;
       }
     }
     // Every listed partition must be set in the mask.
@@ -120,22 +111,22 @@ bool ReplicaSet::CheckInvariants() const {
     }
     total += parts.size();
   }
-  if (total != num_replicas_) return false;
+  if (total != num_replicas_ || non_empty != num_replicated_vertices_) {
+    return false;
+  }
   // Every set mask bit must be listed (no stale bits). Scan the dense
-  // table directly so vertices absent from the map are audited too.
+  // table directly so rows beyond the list table are audited too.
   const size_t num_rows = masks_.size() / words_per_vertex_;
   for (size_t i = 0; i < num_rows; ++i) {
-    const VertexId v = static_cast<VertexId>(i);
-    const auto it = replicas_.find(v);
     for (uint32_t w = 0; w < words_per_vertex_; ++w) {
       uint64_t bits = masks_[i * words_per_vertex_ + w];
       while (bits != 0) {
         const uint32_t p =
             (w << 6) + static_cast<uint32_t>(__builtin_ctzll(bits));
         bits &= bits - 1;
-        if (it == replicas_.end()) return false;
-        if (std::find(it->second.begin(), it->second.end(), p) ==
-            it->second.end()) {
+        if (i >= lists_.size()) return false;
+        const ReplicaList& parts = lists_[i];
+        if (std::find(parts.begin(), parts.end(), p) == parts.end()) {
           return false;
         }
       }

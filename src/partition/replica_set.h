@@ -11,10 +11,11 @@
 /// partition-set state — the membership-heavy role that motivates the
 /// bitmask index below.
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/small_vector.h"
 #include "graph/graph.h"
 
 namespace loom {
@@ -36,8 +37,9 @@ inline constexpr uint32_t kNoReplica = ~uint32_t{0};
 ///  * erasing a secondary never changes the primary; erasing the primary
 ///    promotes the *oldest surviving secondary* (insertion order is
 ///    preserved, never re-sorted);
-///  * erasing the last replica removes the vertex entirely, so
-///    `NumReplicatedVertices` never counts empty lists;
+///  * erasing the last replica empties the vertex's list, and an empty
+///    list reads as absent: `PartitionsOf` returns nullptr and
+///    `NumReplicatedVertices` does not count it;
 ///  * `NumReplicas` equals the sum of list lengths under any interleaving
 ///    of Add / Remove / re-Add (re-adding an erased partition appends it
 ///    as a secondary — the erase forgot its seniority).
@@ -53,13 +55,20 @@ inline constexpr uint32_t kNoReplica = ~uint32_t{0};
 /// k > 64 degrades to a word-vector walk rather than breaking.
 ///
 /// The mask is *authoritative for membership*: `Has` is a mask probe and
-/// `Add` consults it before touching the hash map, so the edge-partition
-/// hot path (two idempotent Adds per edge, almost always already present)
-/// performs no hash lookup at all. Lists and masks always agree
-/// (`CheckInvariants` audits the correspondence); only ordering (primary
-/// seniority) lives exclusively in the lists.
+/// `Add` consults it before touching the lists, so the edge-partition hot
+/// path (two idempotent Adds per edge, almost always already present)
+/// reads one mask word and nothing else. The lists are dense too — one
+/// `ReplicaList` per vertex id, indexed like the mask rows — so a new
+/// replica is an indexed append with no hashing, and the first few
+/// replicas of a vertex live inline without a heap allocation. Lists and
+/// masks always agree (`CheckInvariants` audits the correspondence); only
+/// ordering (primary seniority) lives exclusively in the lists.
 class ReplicaSet {
  public:
+  /// A vertex's replica partitions, oldest (primary) first. Four inline
+  /// slots hold a typical vertex's whole list.
+  using ReplicaList = SmallVector<uint32_t, 4>;
+
   ReplicaSet() = default;
 
   /// Replicates `v` into `partition` (idempotent). The first Add for `v`
@@ -72,7 +81,7 @@ class ReplicaSet {
   /// vertex.
   bool Remove(VertexId v, uint32_t partition);
 
-  /// True iff `v` has a replica in `partition`. A mask probe — no hashing.
+  /// True iff `v` has a replica in `partition`. A mask probe.
   bool Has(VertexId v, uint32_t partition) const {
     const uint32_t word = partition >> 6;
     if (word >= words_per_vertex_) return false;
@@ -91,14 +100,17 @@ class ReplicaSet {
   }
 
   /// Number of replicas of `v`, counted from the mask (popcount over the
-  /// stride words — no hashing; equals `NumReplicasOf`).
+  /// stride words; equals `NumReplicasOf`).
   uint32_t MaskCountOf(VertexId v) const;
 
   /// Mask words per vertex: 1 until a partition index >= 64 appears.
   uint32_t words_per_vertex() const { return words_per_vertex_; }
 
-  /// Partitions holding a replica of `v`, oldest (primary) first.
-  const std::vector<uint32_t>* PartitionsOf(VertexId v) const;
+  /// Partitions holding a replica of `v`, oldest (primary) first; nullptr
+  /// when `v` has none.
+  const ReplicaList* PartitionsOf(VertexId v) const {
+    return v < lists_.size() && !lists_[v].empty() ? &lists_[v] : nullptr;
+  }
 
   /// Primary partition of `v`, or kNoReplica when unreplicated.
   uint32_t PrimaryOf(VertexId v) const;
@@ -110,31 +122,25 @@ class ReplicaSet {
   size_t NumReplicas() const { return num_replicas_; }
 
   /// Number of distinct vertices with at least one replica.
-  size_t NumReplicatedVertices() const { return replicas_.size(); }
+  size_t NumReplicatedVertices() const { return num_replicated_vertices_; }
 
   /// Empties the set while keeping every allocation — the mask table, the
-  /// hash-map nodes and each list's capacity — so an immediately following
+  /// list table and each spilled list's heap buffer — so a following
   /// rebuild over (nearly) the same vertex population re-Adds without a
-  /// single allocation or hash-map insert. `EdgePartitioner::BeginPass`
-  /// calls this once per restream pass; `= ReplicaSet()` there costs a full
-  /// destruct + realloc of ~|V| nodes and lists.
-  ///
-  /// A retained node stays an empty list until its vertex is re-added:
-  /// `PartitionsOf` and `PrimaryOf` read it as absent, but
-  /// `NumReplicatedVertices` counts it and `CheckInvariants` fails on it.
-  /// A restream pass re-adds the whole population, so after a complete
-  /// pass no empty list remains.
+  /// single allocation. `EdgePartitioner::BeginPass` calls this once per
+  /// restream pass. The emptied set is indistinguishable from a fresh one.
   void BeginRebuild();
 
-  /// Reserves hash-map buckets (and mask storage) for `num_vertices`
-  /// distinct vertices, so a streaming build inserts without rehashing.
+  /// Reserves list and mask storage for vertex ids below `num_vertices`,
+  /// so a streaming build grows its tables without reallocating.
   void ReserveVertices(size_t num_vertices);
 
   /// Accounting audit: true iff `NumReplicas` matches the summed list
-  /// lengths, no list is empty, no list holds a duplicate partition, and
-  /// the bitmask index agrees with the lists bit-for-bit (set exactly where
-  /// a list holds the partition). O(replicas + mask words); meant for tests
-  /// and debug assertions, not hot paths.
+  /// lengths, `NumReplicatedVertices` the number of non-empty lists, no
+  /// list holds a duplicate partition, and the bitmask index agrees with
+  /// the lists bit-for-bit (set exactly where a list holds the partition).
+  /// O(vertices + replicas + mask words); meant for tests and debug
+  /// assertions, not hot paths.
   bool CheckInvariants() const;
 
  private:
@@ -145,8 +151,10 @@ class ReplicaSet {
   /// Clears bit `partition` of `v`'s mask (no-op when out of range).
   void ClearMaskBit(VertexId v, uint32_t partition);
 
-  std::unordered_map<VertexId, std::vector<uint32_t>> replicas_;
+  /// Vertex v's replica list at [v]; empty for a vertex with no replica.
+  std::vector<ReplicaList> lists_;
   size_t num_replicas_ = 0;
+  size_t num_replicated_vertices_ = 0;
   /// Dense mask table: vertex v's words at [v * stride, (v + 1) * stride).
   std::vector<uint64_t> masks_;
   uint32_t words_per_vertex_ = 1;

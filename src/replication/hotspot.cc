@@ -52,16 +52,18 @@ ReplicaSet ComputeHotspotReplicas(const LabeledGraph& g,
 
   const size_t budget = static_cast<size_t>(
       std::floor(options.budget_fraction * static_cast<double>(g.NumVertices())));
+  // Every ranked (vertex, partition) key is distinct, so each Add is new
+  // and the mask count is the number of replicas placed for the vertex.
   ReplicaSet replicas;
-  std::unordered_map<VertexId, uint32_t> per_vertex;
   for (const auto& [h, key] : ranked) {
     (void)h;
     if (replicas.NumReplicas() >= budget) break;
     const VertexId v = static_cast<VertexId>(key >> 32);
     const uint32_t part = static_cast<uint32_t>(key & 0xffffffffu);
-    if (per_vertex[v] >= options.max_partitions_per_vertex) continue;
+    if (replicas.MaskCountOf(v) >= options.max_partitions_per_vertex) {
+      continue;
+    }
     replicas.Add(v, part);
-    ++per_vertex[v];
   }
 
   if (stats != nullptr) {

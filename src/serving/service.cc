@@ -168,11 +168,31 @@ Status Service::Ingest(const VertexArrival* arrivals, size_t count) {
   if (sealed_) {
     return Status::FailedPrecondition("Ingest after Seal");
   }
+  if (!AdmitVertices(batch)) {
+    // A placed vertex arriving again breaks the stream invariant the
+    // partitioner relies on; reject it here rather than in the worker.
+    rejected_batches_.fetch_add(1, std::memory_order_relaxed);
+    return Status::InvalidArgument("Ingest: vertex ingested more than once");
+  }
   const uint64_t seq = next_batch_seq_++;
   EnqueuePipelineTask([this, seq, b = std::move(batch)]() mutable {
     ProcessBatch(seq, &b);
   });
   return Status::OK();
+}
+
+bool Service::AdmitVertices(const std::vector<VertexArrival>& batch) {
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const VertexId v = batch[i].vertex;
+    if (v >= admitted_.size()) admitted_.resize(static_cast<size_t>(v) + 1);
+    if (admitted_[v]) {
+      // Every id marked so far was unmarked before this batch.
+      for (size_t j = 0; j < i; ++j) admitted_[batch[j].vertex] = false;
+      return false;
+    }
+    admitted_[v] = true;
+  }
+  return true;
 }
 
 Status Service::IngestSource(ArrivalSource& source, size_t batch_size) {

@@ -70,7 +70,8 @@ struct ServiceStats {
   // --- ingest ---
   uint64_t ingested_vertices = 0;
   uint64_t ingested_batches = 0;
-  /// Batches rejected by validation (nothing partial is applied).
+  /// Batches rejected by validation, re-ingested vertices included
+  /// (nothing partial is applied).
   uint64_t rejected_batches = 0;
 
   // --- queries ---
@@ -123,12 +124,13 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   /// Ingests one batch of arrivals (the span is copied before return).
-  /// The batch is validated on the calling thread — an invalid vertex id
-  /// or a self-loop back edge rejects the WHOLE batch with InvalidArgument
-  /// and applies nothing — then enqueued for the pipeline worker. Returns
-  /// FailedPrecondition after `Seal`. Arrivals must satisfy the stream
-  /// invariants (each vertex once, back edges to earlier arrivals); batches
-  /// from multiple threads are applied in `Ingest`-call order.
+  /// The batch is validated on the calling thread — an invalid vertex id,
+  /// a self-loop back edge, or a vertex that an earlier accepted batch or
+  /// this batch already carried rejects the WHOLE batch with
+  /// InvalidArgument, counts it in `rejected_batches` and applies nothing —
+  /// then enqueued for the pipeline worker. Returns FailedPrecondition
+  /// after `Seal`. Back edges must name earlier arrivals; batches from
+  /// multiple threads are applied in `Ingest`-call order.
   Status Ingest(const VertexArrival* arrivals, size_t count);
 
   /// Vector convenience overload of the span form.
@@ -216,6 +218,11 @@ class Service {
   template <typename F>
   void EnqueuePipelineTask(F&& task);
 
+  /// Caller holds producer_mu_. Marks every vertex of `batch` admitted and
+  /// returns true, or returns false and marks nothing when one of them was
+  /// admitted before or repeats within the batch.
+  bool AdmitVertices(const std::vector<VertexArrival>& batch);
+
   ServiceOptions options_;
 
   /// Workload summary the partitioner scores against; swapped on reaction
@@ -255,6 +262,9 @@ class Service {
   uint64_t tasks_enqueued_ = 0;   // guarded by producer_mu_
   uint64_t next_batch_seq_ = 0;   // guarded by producer_mu_
   bool sealed_ = false;           // guarded by producer_mu_
+  /// Bit v set once a batch carrying vertex v was accepted; guarded by
+  /// producer_mu_, so the re-ingest check is race-free across producers.
+  std::vector<bool> admitted_;
   std::mutex flush_mu_;
   std::condition_variable flush_cv_;
   std::atomic<uint64_t> tasks_done_{0};

@@ -16,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <set>
@@ -701,6 +703,170 @@ TEST(EdgePartitionGoldenTest, ScalarAndBitmaskKernelsMatchPins) {
 }
 
 // ---------------------------------------------------------------------------
+// Budgeted HDRF restream in the vertex-cut benchmark's regime: random
+// order, k = 16, λ = 1, 3 passes at migration budget 0.25, keep-best off.
+// Without keep-best the reported placement is the last pass, so pass N is
+// pinned by an N-pass run: its placement hash, rf and budget-denied moves.
+// Regenerate with LOOM_EQUIV_DUMP=1.
+
+struct RestreamPinRow {
+  const char* family;
+  uint32_t pass;
+  uint64_t hash;
+  double rf;
+  uint64_t budget_denied_moves;
+};
+
+GraphStream RestreamFamily(const std::string& name) {
+  Rng rng(2025);
+  LabeledGraph g =
+      name == "erdos_renyi"
+          ? ErdosRenyiGnm(kGoldenN, kGoldenN * 4, LabelConfig{4, 0.4}, rng)
+          : BarabasiAlbert(kGoldenN, 4, LabelConfig{4, 0.4}, rng);
+  return MakeStream(g, StreamOrder::kRandom, rng);
+}
+
+constexpr RestreamPinRow kRestreamPins[] = {
+    {"erdos_renyi", 1, 0xec25d8f5cf905036ull, 3.2845711427856963, 0},
+    {"erdos_renyi", 2, 0xa7a95ee3c396c923ull, 3.6761690422605651, 10755},
+    {"erdos_renyi", 3, 0x09f5f33ff1e7856cull, 3.698424606151538, 9187},
+    {"barabasi_albert", 1, 0xf5e2fc02f40e275full, 2.8995000000000002, 0},
+    {"barabasi_albert", 2, 0x0c2df1072840ac1aull, 3.29175, 11037},
+    {"barabasi_albert", 3, 0x33f9f044e4780412ull, 3.3322500000000002, 9070},
+};
+
+TEST(EdgePartitionGoldenTest, BudgetedRestreamPassesMatchPins) {
+  const bool dump = std::getenv("LOOM_EQUIV_DUMP") != nullptr;
+  for (const RestreamPinRow& row : kRestreamPins) {
+    const GraphStream stream = RestreamFamily(row.family);
+    EdgePartitionerOptions opt;
+    opt.k = 16;
+    opt.lambda = 1.0;
+    opt.num_edges_hint = CountStreamEdges(stream);
+    opt.num_vertices_hint = kGoldenN;
+    EdgeRestreamOptions ropt;
+    ropt.num_passes = row.pass;
+    ropt.max_migration_fraction = 0.25;
+    ropt.keep_best = false;
+    HdrfPartitioner part(opt);
+    StreamCursor cursor(stream);
+    EdgeRestreamer restreamer(&cursor, ropt);
+    auto result = restreamer.Run(&part);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const EdgeRestreamPassStats& last = result->passes.back();
+    const uint64_t hash = PlacementHash(result->placements);
+    if (dump) {
+      std::cout << "{\"" << row.family << "\", " << row.pass << ", 0x"
+                << std::hex << hash << std::dec << "ull, "
+                << std::setprecision(17) << last.replication_factor << ", "
+                << last.budget_denied_moves << "},\n";
+      continue;
+    }
+    EXPECT_EQ(hash, row.hash) << row.family << " pass " << row.pass;
+    EXPECT_EQ(last.replication_factor, row.rf)
+        << row.family << " pass " << row.pass;
+    EXPECT_EQ(last.budget_denied_moves, row.budget_denied_moves)
+        << row.family << " pass " << row.pass;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Scalar-vs-bitmask sweep, edge by edge. The sweep spans one to three mask
+// words (k = 3 … 130), both balance regimes (λ = 0 takes the first
+// eligible partition, λ > 0 the at-minimum mask or the argmin scan), a
+// tight edge budget (slack 1.0, so full bits fire), a replica cap that
+// forces fallbacks, and budgeted restream passes (BeginPass rebuilds the
+// load bounds). The two kernels run in lockstep on one stream.
+
+struct SweepCoverage {
+  bool high_word_pick = false;  // a λ > 0 pick in mask word 1 or 2
+  bool min_rose = false;        // the min-load recount ran
+  bool full_bits = false;       // an edge budget filled up
+  bool fallback = false;        // the fallback ladder fired
+};
+
+void ExpectKernelsAgreeEdgeByEdge(const GraphStream& stream,
+                                  const EdgePartitionerOptions& opt,
+                                  const std::string& label,
+                                  SweepCoverage* coverage) {
+  HdrfPartitioner scalar(opt);
+  scalar.set_force_scalar_kernel(true);
+  HdrfPartitioner bitmask(opt);
+  std::vector<uint32_t> prior;
+  for (uint32_t pass = 1; pass <= 3; ++pass) {
+    if (pass > 1) {
+      prior = bitmask.placements();
+      scalar.BeginPass(&prior);
+      bitmask.BeginPass(&prior);
+      scalar.SetMigrationBudget(prior.size() / 4);
+      bitmask.SetMigrationBudget(prior.size() / 4);
+    }
+    uint64_t edge = 0;
+    for (const VertexArrival& a : stream.arrivals()) {
+      for (const VertexId w : a.back_edges) {
+        const uint32_t want = scalar.OnEdge(a.vertex, w);
+        const uint32_t got = bitmask.OnEdge(a.vertex, w);
+        ASSERT_EQ(got, want) << label << " pass " << pass << " edge " << edge;
+        if (opt.lambda > 0.0 && got >= 64) coverage->high_word_pick = true;
+        ++edge;
+      }
+    }
+    const EdgePartitionerStats& s = scalar.stats();
+    const EdgePartitionerStats& b = bitmask.stats();
+    EXPECT_EQ(b.overflow_fallbacks, s.overflow_fallbacks) << label;
+    EXPECT_EQ(b.cap_relaxations, s.cap_relaxations) << label;
+    EXPECT_EQ(b.prior_moves, s.prior_moves) << label;
+    EXPECT_EQ(b.budget_denied_moves, s.budget_denied_moves) << label;
+    EXPECT_EQ(b.assign_errors, 0u) << label;
+    EXPECT_TRUE(bitmask.replicas().CheckInvariants()) << label;
+    const std::vector<uint64_t>& counts = bitmask.edge_counts();
+    if (*std::min_element(counts.begin(), counts.end()) > 0) {
+      coverage->min_rose = true;
+    }
+    const uint64_t capacity = ComputeEdgeCapacity(
+        opt.k, opt.num_edges_hint, opt.balance_slack);
+    if (*std::max_element(counts.begin(), counts.end()) >= capacity) {
+      coverage->full_bits = true;
+    }
+    if (b.overflow_fallbacks + b.cap_relaxations > 0) coverage->fallback = true;
+  }
+}
+
+TEST(EdgePartitionKernelSweepTest, BitmaskMatchesScalarOnEveryEdge) {
+  SweepCoverage coverage;
+  for (const char* family : {"erdos_renyi", "barabasi_albert"}) {
+    const GraphStream stream = std::string(family) == "erdos_renyi"
+                                   ? SmallStream(400, 1600, 71)
+                                   : PowerLawStream(400, 4, 73);
+    for (const uint32_t k : {3u, 16u, 64u, 65u, 130u}) {
+      for (const double lambda : {0.0, 1.0, 4.0}) {
+        for (const double slack : {1.0, 1.1}) {
+          for (const uint32_t cap : {0u, 2u}) {
+            EdgePartitionerOptions opt;
+            opt.k = k;
+            opt.lambda = lambda;
+            opt.balance_slack = slack;
+            opt.max_partitions_per_vertex = cap;
+            opt.num_edges_hint = CountStreamEdges(stream);
+            const std::string label =
+                std::string(family) + " k=" + std::to_string(k) +
+                " lambda=" + std::to_string(lambda) +
+                " slack=" + std::to_string(slack) +
+                " cap=" + std::to_string(cap);
+            ExpectKernelsAgreeEdgeByEdge(stream, opt, label, &coverage);
+            if (HasFatalFailure()) return;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(coverage.high_word_pick);
+  EXPECT_TRUE(coverage.min_rose);
+  EXPECT_TRUE(coverage.full_bits);
+  EXPECT_TRUE(coverage.fallback);
+}
+
+// ---------------------------------------------------------------------------
 // Budgeted edge restream, for each streaming edge partitioner
 
 class EdgeRestreamAlgorithmTest : public ::testing::TestWithParam<const char*> {
@@ -786,8 +952,7 @@ TEST_P(EdgeRestreamAlgorithmTest, LastPassReportMatchesThePartitionerState) {
   EXPECT_DOUBLE_EQ(result->balance, EdgeBalanceMaxOverAvg(p.edge_counts()));
   EXPECT_DOUBLE_EQ(result->replication_factor,
                    result->passes.back().replication_factor);
-  // The replica set rebuilt in place by the last pass holds no stale
-  // (emptied, never re-added) vertex.
+  // The replica set rebuilt in place by the last pass passes its audit.
   EXPECT_TRUE(p.replicas().CheckInvariants());
 }
 

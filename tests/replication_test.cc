@@ -211,6 +211,9 @@ TEST(ReplicaSetTest, BeginRebuildThenRefillMatchesAFreshBuild) {
   r.Add(70, 1);
   r.BeginRebuild();
   EXPECT_EQ(r.NumReplicas(), 0u);
+  // The emptied set reads as a fresh one, audit included.
+  EXPECT_EQ(r.NumReplicatedVertices(), 0u);
+  EXPECT_TRUE(r.CheckInvariants());
   for (const VertexId v : {VertexId{1}, VertexId{2}, VertexId{70}}) {
     EXPECT_EQ(r.PartitionsOf(v), nullptr) << v;
     EXPECT_EQ(r.PrimaryOf(v), kNoReplica) << v;

@@ -195,6 +195,59 @@ TEST(ServingIngestTest, InvalidBatchesAreRejectedWholeAndCounted) {
   EXPECT_TRUE((*created)->Seal().ok());
 }
 
+// A vertex arriving a second time breaks the stream invariant the
+// partitioner relies on (a Debug build asserts on it in the worker), so
+// Ingest rejects the whole batch up front: against an earlier batch or
+// within one, and without marking the batch's other vertices.
+TEST(ServingIngestTest, ReIngestedVertexIsRejectedAndLeavesPlacementAlone) {
+  ServiceOptions opts;
+  opts.partitioner = "ldg";
+  opts.loom.partitioner.k = 2;
+  opts.num_labels = 4;
+  std::vector<VertexArrival> first(2);
+  first[0].vertex = 0;
+  first[1].vertex = 1;
+  first[1].back_edges = {0};
+
+  auto reference = Service::Create(SmallWorkload(), opts);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE((*reference)->Ingest(first).ok());
+  ASSERT_TRUE((*reference)->Seal().ok());
+
+  auto created = Service::Create(SmallWorkload(), opts);
+  ASSERT_TRUE(created.ok());
+  Service& service = **created;
+  ASSERT_TRUE(service.Ingest(first).ok());
+  std::vector<VertexArrival> again(1);
+  again[0].vertex = 0;
+  EXPECT_EQ(service.Ingest(again).code(), StatusCode::kInvalidArgument);
+
+  // A repeat inside one batch, and a fresh vertex batched with a placed
+  // one: both rejected whole, and vertex 2 stays admissible.
+  std::vector<VertexArrival> twice(2);
+  twice[0].vertex = 2;
+  twice[1].vertex = 2;
+  EXPECT_EQ(service.Ingest(twice).code(), StatusCode::kInvalidArgument);
+  std::vector<VertexArrival> mixed(2);
+  mixed[0].vertex = 2;
+  mixed[1].vertex = 1;
+  EXPECT_EQ(service.Ingest(mixed).code(), StatusCode::kInvalidArgument);
+  mixed.resize(1);
+  EXPECT_TRUE(service.Ingest(mixed).ok());
+  ASSERT_TRUE(service.Seal().ok());
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.rejected_batches, 3u);
+  EXPECT_EQ(stats.ingested_vertices, 3u);
+  EXPECT_EQ(stats.ingested_batches, 2u);
+  EXPECT_EQ(stats.assign_errors, 0u);
+  for (const VertexId v : {VertexId{0}, VertexId{1}}) {
+    EXPECT_GE(service.Locate(v), 0) << v;
+    EXPECT_EQ(service.Locate(v), (*reference)->Locate(v)) << v;
+  }
+  EXPECT_GE(service.Locate(2), 0);
+}
+
 TEST(ServingIngestTest, SealStopsIngestAndIsNotRepeatable) {
   const Scenario s = MakeScenario(300, 11);
   auto created = Service::Create(SmallWorkload(), BaseOptions(s, 4));
