@@ -4,7 +4,7 @@
 /// \file
 /// The piecewise-stationary drift scenario shared by `bench_drift`, the
 /// `drift` section of `BENCH_edge_cut.json` (tools/run_benchmarks) and
-/// `tests/drift_test.cc`, so the number CI validates is the number the
+/// `tests/drift_test.cc`, so the number the golden pins is the number the
 /// table prints and the test asserts on.
 ///
 /// Shape: a graph planted with the motifs of two workloads on disjoint

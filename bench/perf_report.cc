@@ -4,22 +4,10 @@
 #include <fstream>
 #include <iostream>
 
-#include "common/timer.h"
-#include "edge_partition/hdrf_partitioner.h"
-#include "matching/stream_matcher.h"
-#include "motif/canonical.h"
-#include "motif/signature.h"
-#include "partition/gain_scorer.h"
-#include "partition/hash_partitioner.h"
-#include "partition/ldg_partitioner.h"
-#include "stream/arrival_source.h"
-#include "stream/window.h"
-#include "workload/query_builders.h"
-
 namespace loom {
 namespace bench {
 
-// ----------------------------------------------------------------- JSON
+namespace {
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -40,11 +28,9 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-namespace {
-
 std::string JsonNumber(double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 
@@ -96,351 +82,6 @@ bool WriteFile(const std::string& path, const std::string& content) {
   }
   f << content << "\n";
   return f.good();
-}
-
-// ----------------------------------------------------------------- micro
-
-namespace {
-
-template <typename Fn>
-MicroResult TimeLoop(const std::string& name, uint64_t iterations,
-                     uint64_t items_per_iteration, Fn&& fn) {
-  MicroResult r;
-  r.name = name;
-  r.iterations = iterations;
-  r.items = iterations * items_per_iteration;
-  WallTimer timer;
-  for (uint64_t i = 0; i < iterations; ++i) fn();
-  r.seconds = timer.ElapsedSeconds();
-  return r;
-}
-
-}  // namespace
-
-std::vector<MicroResult> RunMicroLoops(bool fast) {
-  std::vector<MicroResult> out;
-
-  {
-    const SignatureScheme scheme(8);
-    GraphSignature sig;
-    Label a = 0;
-    out.push_back(TimeLoop("signature_multiply_edge",
-                           fast ? 200000 : 2000000, 1, [&] {
-                             scheme.MultiplyEdge(&sig, a, (a + 3) % 8);
-                             a = (a + 1) % 8;
-                             if (sig.NumFactors() > 64) sig = GraphSignature();
-                           }));
-  }
-
-  {
-    const SignatureScheme scheme(4);
-    const GraphSignature small = scheme.SignatureOf(PaperQ2());
-    const GraphSignature big = scheme.SignatureOf(PaperFigure1Graph());
-    volatile bool sink = false;
-    out.push_back(TimeLoop("signature_divides", fast ? 100000 : 1000000, 1,
-                           [&] { sink = small.Divides(big); }));
-    (void)sink;
-  }
-
-  {
-    const LabeledGraph q = PaperQ1();
-    out.push_back(TimeLoop("canonical_form_small_motif", fast ? 5000 : 50000,
-                           1, [&] {
-                             auto c = CanonicalForm(q);
-                             (void)c;
-                           }));
-  }
-
-  {
-    const Workload w = PaperFigure1Workload();
-    auto trie = BuildTrie(w);
-    const GraphSignature sig = (*trie)->scheme().SignatureOf(PaperQ2());
-    out.push_back(TimeLoop("trie_signature_lookup", fast ? 100000 : 1000000,
-                           1, [&] {
-                             auto hits = (*trie)->FindBySignature(sig);
-                             (void)hits;
-                           }));
-  }
-
-  {
-    const uint32_t n = fast ? 5000 : 20000;
-    Rng rng(1);
-    const LabeledGraph g = BarabasiAlbert(n, 4, LabelConfig{4, 0.0}, rng);
-    const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
-    const uint64_t reps = fast ? 3 : 10;
-    out.push_back(TimeLoop("ldg_placement", reps, g.NumVertices(), [&] {
-      PartitionerOptions o;
-      o.k = 16;
-      o.num_vertices_hint = g.NumVertices();
-      LdgPartitioner p(o);
-      p.Run(stream);
-    }));
-    out.push_back(TimeLoop("hash_placement", reps, g.NumVertices(), [&] {
-      PartitionerOptions o;
-      o.k = 16;
-      o.num_vertices_hint = g.NumVertices();
-      HashPartitioner p(o);
-      p.Run(stream);
-    }));
-    // The HDRF scoring kernel end to end (one cold streaming pass over the
-    // same BA stream), normalised per edge placed — the per-pick cost the
-    // bitmask kernel is meant to hold down.
-    out.push_back(TimeLoop("hdrf_pick_partition", reps, g.NumEdges(), [&] {
-      EdgePartitionerOptions o;
-      o.k = 16;
-      o.num_vertices_hint = g.NumVertices();
-      o.num_edges_hint = g.NumEdges();
-      o.record_placements = false;
-      HdrfPartitioner p(o);
-      StreamCursor cursor(stream);
-      p.Run(cursor);
-    }));
-  }
-
-  {
-    const uint64_t churn = 4096;
-    out.push_back(TimeLoop("window_churn", fast ? 50 : 500, churn, [&] {
-      StreamWindow w(256);
-      for (VertexId v = 0; v < churn; ++v) {
-        if (w.Full()) w.PopOldest();
-        w.Push(v, v % 4,
-               v > 0 ? std::vector<VertexId>{v - 1} : std::vector<VertexId>{});
-      }
-    }));
-  }
-
-  {
-    // The blocked gain kernel behind every LOOM scoring site
-    // (ScoreVertices / chunk scoring / AssignSingle): gather a 16-member
-    // unit's weighted edges, flat-accumulate into k partitions, compact the
-    // touched set. One iteration = one unit scored.
-    const uint32_t k = 16;
-    const uint32_t num_labels = 4;
-    const uint32_t pool = 4096;
-    const uint32_t unit_size = 16;
-    const uint32_t degree = 8;
-    BlockedGainScorer scorer;
-    scorer.Configure(k, num_labels, /*use_weights=*/true,
-                     /*untraversed_weight=*/0.05);
-    for (Label a = 0; a < num_labels; ++a) {
-      for (Label b = a; b < num_labels; ++b) {
-        scorer.SetEdgeWeight(a, b, 0.1 + 0.05 * static_cast<double>(a + b));
-      }
-    }
-    Rng rng(3);
-    std::vector<Label> label_of(pool);
-    std::vector<int32_t> part_of(pool);
-    std::vector<VertexId> neighbors(pool);
-    for (uint32_t v = 0; v < pool; ++v) {
-      label_of[v] = static_cast<Label>(rng.UniformInt(0, num_labels - 1));
-      // ~1/17 unassigned, like a live window mid-stream.
-      part_of[v] = static_cast<int32_t>(rng.UniformInt(0, k)) - 1;
-      neighbors[v] = static_cast<VertexId>(rng.UniformInt(0, pool - 1));
-    }
-    std::vector<double> scores(k, 0.0);
-    uint32_t base = 0;
-    out.push_back(TimeLoop("score_vertices", fast ? 20000 : 200000, unit_size,
-                           [&] {
-                             scorer.BeginUnit();
-                             for (uint32_t m = 0; m < unit_size; ++m) {
-                               const uint32_t v = (base + m * 37) % pool;
-                               scorer.AddMember(
-                                   label_of[v],
-                                   Span<const VertexId>(
-                                       neighbors.data() + v % (pool - degree),
-                                       degree),
-                                   label_of,
-                                   [&](VertexId w) { return part_of[w]; });
-                             }
-                             scorer.Commit(&scores);
-                             base = (base + unit_size) % pool;
-                           }));
-  }
-
-  {
-    // The matcher's closure extraction on a motif-planted stream: push each
-    // arrival through a 256-slot sliding window and query the evicted
-    // vertex's transitive match closure — the per-eviction cost of LOOM's
-    // cluster path. One item = one arrival processed.
-    Rng rng(4);
-    const uint32_t n = fast ? 2000 : 8000;
-    LabeledGraph g = BarabasiAlbert(n, 4, LabelConfig{3, 0.0}, rng);
-    PlantMotifs(&g, TriangleQuery(0, 1, 2), n / 32, rng, /*locality_span=*/16);
-    const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
-    Workload w;
-    if (!w.Add("tri", TriangleQuery(0, 1, 2), 1.0).ok()) return out;
-    w.Normalize();
-    auto trie = BuildTrie(w);
-    if (!trie.ok()) return out;
-    StreamMatcherOptions mopts;
-    mopts.frequency_threshold = 0.3;
-    const uint32_t window_size = 256;
-    std::vector<uint8_t> in_window(n);
-    std::vector<VertexId> ring(window_size);
-    std::vector<VertexId> filtered;
-    out.push_back(TimeLoop("match_closure", fast ? 2 : 6, n, [&] {
-      StreamMatcher m(trie->get(), mopts);
-      std::fill(in_window.begin(), in_window.end(), 0);
-      uint32_t live = 0;
-      uint64_t count = 0;
-      for (const VertexArrival& a : stream.arrivals()) {
-        const uint32_t pos = static_cast<uint32_t>(count++ % window_size);
-        if (live == window_size) {
-          const VertexId victim = ring[pos];
-          const std::vector<VertexId> closure = m.MatchClosureFor(victim);
-          (void)closure;
-          m.RemoveVertex(victim);
-          in_window[victim] = 0;
-          --live;
-        }
-        filtered.clear();
-        for (const VertexId w2 : a.back_edges) {
-          if (in_window[w2]) filtered.push_back(w2);
-        }
-        m.OnVertex(a.vertex, a.label, filtered);
-        ring[pos] = a.vertex;
-        in_window[a.vertex] = 1;
-        ++live;
-      }
-    }));
-  }
-
-  return out;
-}
-
-// ------------------------------------------------------------ throughput
-
-std::vector<ThroughputRow> RunThroughput(bool fast) {
-  const uint32_t n = fast ? 4000 : 30000;
-  const uint32_t reps = fast ? 2 : 3;
-  std::vector<GraphKind> kinds = {GraphKind::kErdosRenyi,
-                                  GraphKind::kBarabasiAlbert};
-  if (!fast) {
-    kinds.push_back(GraphKind::kWattsStrogatz);
-    kinds.push_back(GraphKind::kRMat);
-  }
-
-  WorkloadGenOptions wopts;
-  wopts.num_queries = 4;
-  const Workload workload = MixedMotifWorkload(wopts);
-
-  std::vector<ThroughputRow> out;
-  for (const GraphKind kind : kinds) {
-    Rng rng(2024);
-    LabeledGraph g = MakeGraph(kind, n, /*avg_degree=*/8, LabelConfig{4, 0.3},
-                               rng);
-    PlantWorkloadMotifs(&g, workload, n / 24, rng, /*locality_span=*/32);
-    const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
-
-    PartitionerOptions popts;
-    popts.k = 8;
-    popts.num_vertices_hint = g.NumVertices();
-    popts.num_edges_hint = g.NumEdges();
-    popts.window_size = 256;
-
-    const auto time_run = [&](const std::string& name, auto&& make) {
-      ThroughputRow row;
-      row.family = GraphKindName(kind);
-      row.partitioner = name;
-      row.num_vertices = g.NumVertices();
-      row.num_edges = g.NumEdges();
-      WallTimer timer;
-      for (uint32_t r = 0; r < reps; ++r) make();
-      row.seconds = timer.ElapsedSeconds() / reps;
-      if (row.seconds > 0) {
-        row.vertices_per_second = static_cast<double>(row.num_vertices) /
-                                  row.seconds;
-        row.edges_per_second = static_cast<double>(row.num_edges) /
-                               row.seconds;
-      }
-      out.push_back(row);
-    };
-
-    LoomOptions lopts;
-    lopts.partitioner = popts;
-    lopts.matcher.frequency_threshold = 0.2;
-    // Probe creation once before timing: a failed Create must fail the whole
-    // section (empty result), never leave a bogus near-zero-seconds row that
-    // would report an absurd vertices/s as the headline number.
-    if (!Loom::Create(workload, lopts).ok()) {
-      std::cerr << "perf_report: loom creation failed; throughput section "
-                   "aborted\n";
-      return {};
-    }
-
-    time_run("hash", [&] {
-      HashPartitioner p(popts);
-      p.Run(stream);
-    });
-    time_run("ldg", [&] {
-      LdgPartitioner p(popts);
-      p.Run(stream);
-    });
-    time_run("loom", [&] {
-      auto loom = Loom::Create(workload, lopts);
-      (*loom)->Partitioner().Run(stream);
-    });
-  }
-  return out;
-}
-
-// ----------------------------------------------------------------- report
-
-bool WriteMicroReport(const std::string& path, const std::string& mode,
-                      const std::vector<MicroResult>& micro,
-                      const std::vector<ThroughputRow>& throughput) {
-  std::vector<JsonObject> rows;
-  for (const MicroResult& r : micro) {
-    if (r.iterations == 0 || r.seconds < 0) {
-      std::cerr << "perf_report: micro loop " << r.name << " is invalid\n";
-      return false;
-    }
-    JsonObject row;
-    row.Add("name", r.name);
-    row.Add("iterations", r.iterations);
-    row.Add("seconds", r.seconds);
-    const double per_op = r.seconds / static_cast<double>(r.iterations) * 1e9;
-    row.Add("ns_per_op", per_op);
-    const double ops =
-        r.seconds > 0 ? static_cast<double>(r.items) / r.seconds : 0;
-    row.Add("ops_per_second", ops);
-    row.Add("peak_rss_bytes", PeakRssBytes());
-    rows.push_back(std::move(row));
-  }
-  if (rows.empty()) {
-    std::cerr << "perf_report: micro section produced no rows\n";
-    return false;
-  }
-
-  std::vector<JsonObject> tp_rows;
-  for (const ThroughputRow& r : throughput) {
-    if (r.seconds <= 0 || r.num_vertices == 0) {
-      std::cerr << "perf_report: throughput row " << r.family << "/"
-                << r.partitioner << " is invalid\n";
-      return false;
-    }
-    JsonObject row;
-    row.Add("family", r.family);
-    row.Add("partitioner", r.partitioner);
-    row.Add("num_vertices", r.num_vertices);
-    row.Add("num_edges", r.num_edges);
-    row.Add("seconds", r.seconds);
-    row.Add("vertices_per_second", r.vertices_per_second);
-    row.Add("edges_per_second", r.edges_per_second);
-    row.Add("peak_rss_bytes", PeakRssBytes());
-    tp_rows.push_back(std::move(row));
-  }
-  if (tp_rows.empty()) {
-    std::cerr << "perf_report: throughput section produced no rows\n";
-    return false;
-  }
-
-  JsonObject root;
-  root.Add("schema", std::string("loom-bench-micro-v3"));
-  root.Add("mode", mode);
-  root.AddRaw("results", RenderArray(rows, 2));
-  root.AddRaw("throughput", RenderArray(tp_rows, 2));
-  return WriteFile(path, root.Render(0));
 }
 
 }  // namespace bench

@@ -2,10 +2,9 @@
 #define LOOM_BENCH_SERVING_SCENARIO_H_
 
 /// \file
-/// The concurrent serving scenario shared by `bench_serving`, the `serving`
-/// section of `BENCH_edge_cut.json` (tools/run_benchmarks) and
-/// `tests/serving_test.cc` — one definition of the workload the numbers CI
-/// validates are measured on.
+/// The concurrent serving scenario shared by `bench_serving` and
+/// `tests/serving_test.cc` — one definition of the workload the bench
+/// reports on and the test asserts.
 ///
 /// Shape: a `loom::Service` built for workload A fronts a graph planted
 /// with the motifs of workloads A and B. An open-loop ingest driver streams
@@ -30,8 +29,8 @@
 namespace loom {
 namespace bench {
 
-/// Scenario knobs; defaults are the fast-mode configuration recorded in
-/// BENCH_edge_cut.json.
+/// Scenario knobs; defaults are the fast-mode configuration
+/// (`bench_serving --fast`, ServingDriftTest).
 struct ServingScenarioConfig {
   uint32_t n = 6000;
   uint32_t k = 8;
@@ -76,7 +75,7 @@ struct LatencySummary {
 /// Sorts `samples` in place and reads the percentiles (empty-safe).
 LatencySummary Summarize(std::vector<double>* samples);
 
-/// Everything the bench table, the JSON section and the tests consume.
+/// Everything the bench table and the tests consume.
 struct ServingScenarioResult {
   /// True iff ingest completed, the drift reaction ran, queries were
   /// answered during it, and the partitioner reported zero assign errors.

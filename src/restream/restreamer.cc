@@ -304,18 +304,8 @@ GraphStream Restreamer::ReplayStream(RestreamOrder order,
   return GraphStream(std::move(arrivals));
 }
 
-RestreamPassStats Restreamer::RunIncrementalPass(
-    StreamingPartitioner* partitioner, const PartitionAssignment& prior,
-    uint64_t max_moves) const {
-  Rng rng(options_.seed);
-  WallTimer timer;
-  // The replay ordering is part of the reaction latency: an incremental pass
-  // is judged end-to-end, ordering included. The replay itself goes through
-  // a borrowing cursor — no stream copy in either mode.
-  const std::vector<VertexId> perm =
-      PassOrder(options_.order, prior, rng);
-  partitioner->BeginPass(&prior);
-  partitioner->SetMigrationBudget(max_moves);
+void Restreamer::Replay(StreamingPartitioner* partitioner,
+                        const std::vector<VertexId>& perm) const {
   if (OutOfCore()) {
     FileReplayCursor cursor(*file_, perm, FileIndexOfVertex());
     partitioner->Run(cursor);
@@ -323,20 +313,39 @@ RestreamPassStats Restreamer::RunIncrementalPass(
     GraphReplayCursor cursor(graph_, perm, graph_.NumEdges());
     partitioner->Run(cursor);
   }
-  partitioner->ClearPrior();
+}
 
+RestreamPassStats Restreamer::PassStats(
+    uint32_t pass, double seconds, const StreamingPartitioner& partitioner,
+    const PartitionAssignment* prior) const {
+  const PartitionAssignment& a = partitioner.assignment();
+  const PartitionerStats& stats = partitioner.stats();
   RestreamPassStats s;
-  s.pass = 1;
-  s.seconds = timer.ElapsedSeconds();
-  s.edge_cut_fraction = CutFraction(partitioner->assignment());
-  s.best_edge_cut_fraction = s.edge_cut_fraction;
-  s.balance = BalanceMaxOverAvg(partitioner->assignment());
-  s.migration_fraction = MigrationFraction(prior, partitioner->assignment());
-  s.overflow_fallbacks = partitioner->stats().overflow_fallbacks;
-  s.forced_placements = partitioner->stats().forced_placements;
-  s.assign_errors = partitioner->stats().assign_errors;
-  s.budget_denied_moves = partitioner->stats().budget_denied_moves;
+  s.pass = pass;
+  s.seconds = seconds;
+  s.edge_cut_fraction = s.best_edge_cut_fraction = CutFraction(a);
+  s.balance = BalanceMaxOverAvg(a);
+  s.migration_fraction = prior ? MigrationFraction(*prior, a) : 0.0;
+  s.overflow_fallbacks = stats.overflow_fallbacks;
+  s.forced_placements = stats.forced_placements;
+  s.assign_errors = stats.assign_errors;
+  s.budget_denied_moves = stats.budget_denied_moves;
   return s;
+}
+
+RestreamPassStats Restreamer::RunIncrementalPass(
+    StreamingPartitioner* partitioner, const PartitionAssignment& prior,
+    uint64_t max_moves) const {
+  Rng rng(options_.seed);
+  WallTimer timer;
+  // The replay ordering is part of the reaction latency: an incremental pass
+  // is judged end-to-end, ordering included.
+  const std::vector<VertexId> perm = PassOrder(options_.order, prior, rng);
+  partitioner->BeginPass(&prior);
+  partitioner->SetMigrationBudget(max_moves);
+  Replay(partitioner, perm);
+  partitioner->ClearPrior();
+  return PassStats(1, timer.ElapsedSeconds(), *partitioner, &prior);
 }
 
 RestreamResult Restreamer::Run(StreamingPartitioner* partitioner) const {
@@ -387,35 +396,18 @@ RestreamResult Restreamer::Run(StreamingPartitioner* partitioner) const {
 
     WallTimer timer;
     // Pass one streams the recorded arrivals (back edges only); later
-    // passes replay full neighbourhoods through borrowing cursors — no
-    // per-pass stream copy in either mode.
-    if (pass == 1) {
-      if (OutOfCore()) {
-        FileBackCursor cursor(*file_);
-        partitioner->Run(cursor);
-      } else {
-        partitioner->Run(*stream_);
-      }
+    // passes replay full neighbourhoods, with no per-pass stream copy.
+    if (pass > 1) {
+      Replay(partitioner, perm);
     } else if (OutOfCore()) {
-      FileReplayCursor cursor(*file_, perm, FileIndexOfVertex());
+      FileBackCursor cursor(*file_);
       partitioner->Run(cursor);
     } else {
-      GraphReplayCursor cursor(graph_, perm, graph_.NumEdges());
-      partitioner->Run(cursor);
+      partitioner->Run(*stream_);
     }
 
-    RestreamPassStats s;
-    s.pass = pass;
-    s.seconds = timer.ElapsedSeconds();
-    s.edge_cut_fraction = CutFraction(partitioner->assignment());
-    s.balance = BalanceMaxOverAvg(partitioner->assignment());
-    s.migration_fraction =
-        pass == 1 ? 0.0 : MigrationFraction(prior, partitioner->assignment());
-    s.overflow_fallbacks = partitioner->stats().overflow_fallbacks;
-    s.forced_placements = partitioner->stats().forced_placements;
-    s.assign_errors = partitioner->stats().assign_errors;
-    s.budget_denied_moves = partitioner->stats().budget_denied_moves;
-
+    RestreamPassStats s = PassStats(pass, timer.ElapsedSeconds(), *partitioner,
+                                    pass == 1 ? nullptr : &prior);
     if (s.edge_cut_fraction <= best_cut) {
       best_cut = s.edge_cut_fraction;
       best = partitioner->assignment();

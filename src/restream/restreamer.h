@@ -238,6 +238,14 @@ class Restreamer {
   /// Edge-cut fraction of `a` in whichever mode is active.
   double CutFraction(const PartitionAssignment& a) const;
 
+  /// Streams `perm`'s full neighbourhoods through a borrowing cursor.
+  void Replay(StreamingPartitioner* partitioner,
+              const std::vector<VertexId>& perm) const;
+  /// Stats of the pass just run (best = raw cut; migration 0 if no prior).
+  RestreamPassStats PassStats(uint32_t pass, double seconds,
+                              const StreamingPartitioner& partitioner,
+                              const PartitionAssignment* prior) const;
+
   /// Exactly one of stream_/file_ is set (materialised vs out-of-core).
   const GraphStream* stream_ = nullptr;
   FileArrivalSource* file_ = nullptr;

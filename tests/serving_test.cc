@@ -682,7 +682,7 @@ TEST(ServingSnapshotTest, BuilderDeltaStaysExactAcrossRelabelsAndBoundChanges) {
 // --------------------------------------------------------- drift reactions
 
 TEST(ServingDriftTest, ScenarioServesQueriesWhileTheReactionRuns) {
-  // The fast-mode defaults: the configuration CI's serving validator checks.
+  // The fast-mode defaults, as `bench_serving --fast` runs them.
   const ServingScenarioResult r = RunServingScenario(ServingScenarioConfig{});
 
   ASSERT_TRUE(r.ok) << "reactions=" << r.drift_reactions

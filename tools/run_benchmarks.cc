@@ -1,31 +1,34 @@
-// run_benchmarks: machine-readable perf baseline driver.
+// run_benchmarks: writes BENCH_edge_cut.json, the repo's quality golden.
 //
-// Runs a fast subset of the bench/ experiments (edge-cut quality across the
-// standard partitioner set, multi-pass restreaming, the drift-reaction
-// scenario, self-timed microbenchmarks of the hot paths, and the end-to-end
-// streaming-throughput harness) and
-// writes BENCH_edge_cut.json and BENCH_micro.json so successive PRs can
-// regress against a recorded trajectory. The JSON schema is documented in
-// docs/BENCH_SCHEMA.md.
+// Runs a fast subset of the bench/ experiments (the file-backed large tier,
+// edge-cut quality across the standard partitioner set, multi-pass
+// restreaming, the drift-reaction scenario and streaming vertex-cut) and
+// writes DIR/BENCH_edge_cut.json. Every value in it is a deterministic
+// function of (input, options, seed), with no timing and no memory reading,
+// so tests/bench_driver_test.cc compares a fresh `--fast` run with the
+// checked-in file byte for byte. Speed is measured by perfbench/. The JSON
+// schema is documented in docs/BENCH_SCHEMA.md.
 //
 // Usage:
 //   run_benchmarks [--fast] [--full] [--out DIR]
 //                  [--large-n N] [--large-degree M] [--large-file PATH]
 //
-// --fast (default) keeps total runtime to a few seconds; --full runs the
-// paper-scale configuration — including the LiveJournal-class `large` tier
-// (~5M vertices / ~50M edges, file-backed). --large-n / --large-degree
-// override the large tier's synthetic scale;
+// --fast (default) runs in about a second; --full runs the paper-scale
+// configuration — including the LiveJournal-class `large` tier (~5M
+// vertices / ~50M edges, file-backed). --large-n / --large-degree override
+// the large tier's synthetic scale (positive integers below 2^32);
 // --large-file points it at a pre-built loom-stream file instead. Exit
-// status is non-zero on any failure — including a peak-RSS reading above
-// the large tier's O(V) ceiling — and the JSON files are only left behind
-// when every section succeeded.
+// status is 2 on a bad argument and 1 when a run fails or a contract check
+// does not hold; the file is written only when every check held. The checks:
+// the large tier's peak RSS stays under its O(V) ceiling, materialises
+// nothing and its gain pass does not raise the ldg cut; no restream pass
+// forces a placement past capacity; the drift detector fires only during
+// the drift; no edge-partition row has an assign error or a cap relaxation;
+// and HDRF replicates no more than DBH on every Barabási–Albert tier.
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -35,14 +38,39 @@
 #include "edge_partition/edge_partitioner.h"
 #include "edge_partition/edge_restream.h"
 #include "graph/io.h"
+#include "harness.h"
 #include "perf_report.h"
 #include "restream/restreamer.h"
-#include "serving_scenario.h"
 #include "workload/query_builders.h"
 
 namespace loom {
 namespace bench {
 namespace {
+
+// The edge-partition contract of one run over `num_edges` edges: every edge
+// placed, no placement logic error, and no replica-cap relaxation.
+bool CheckEdgeStats(const std::string& name, const EdgePartitionerStats& stats,
+                    uint64_t num_edges) {
+  if (stats.assign_errors == 0 && stats.edges_assigned == num_edges &&
+      stats.cap_relaxations == 0) {
+    return true;
+  }
+  std::cerr << "run_benchmarks: edge partition contract violated (" << name
+            << "): " << stats.edges_assigned << " of " << num_edges
+            << " edges placed, " << stats.assign_errors << " assign errors, "
+            << stats.cap_relaxations << " cap relaxations\n";
+  return false;
+}
+
+// HDRF's degree-aware scoring must not replicate more than plain degree
+// hashing on the power-law family at the same lambda.
+bool CheckHdrfBeatsDbh(const std::string& tier, double hdrf_rf, double dbh_rf) {
+  if (hdrf_rf <= dbh_rf) return true;
+  std::cerr << "run_benchmarks: " << tier << " barabasi-albert: HDRF "
+            << "replication factor " << hdrf_rf << " exceeds DBH's " << dbh_rf
+            << "\n";
+  return false;
+}
 
 // ------------------------------------------------------------------- large
 
@@ -53,7 +81,7 @@ namespace {
 // the O(V) assertion is only meaningful while nothing else has built O(E)
 // state yet.
 struct LargeConfig {
-  uint64_t n = 60000;
+  uint32_t n = 60000;
   /// Barabási–Albert attachments per vertex (edges ~= n * degree).
   uint32_t degree = 10;
   uint32_t k = 16;
@@ -80,11 +108,10 @@ constexpr uint64_t kLargeRssPerVertexBytes = 80;
 
 // The workload-aware row of the large tier: LOOM through the same
 // out-of-core replay, three original-order passes with cluster memoization
-// on vs off (A/B on the identical file), reporting pass-one throughput,
-// the memoized and non-memoized restream-pass seconds, and the recall
-// counters. Runs under the same O(V) peak-RSS ceiling as the ldg row —
-// the memo structures (log, fingerprints, unit index, grouped permutation)
-// are all O(V) by design.
+// on vs off (A/B on the identical file), reporting the cuts of both and the
+// recall counters. Runs under the same O(V) peak-RSS ceiling as the ldg
+// row — the memo structures (log, fingerprints, unit index, grouped
+// permutation) are all O(V) by design.
 bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
                      uint64_t rss_ceiling, std::vector<JsonObject>* rows) {
   Workload workload;
@@ -109,12 +136,6 @@ bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
   on.order = RestreamOrder::kOriginal;
   RestreamOptions off = on;
   off.memoize_clusters = false;
-
-  const auto restream_seconds = [](const RestreamResult& r) {
-    double s = 0.0;
-    for (size_t p = 1; p < r.passes.size(); ++p) s += r.passes[p].seconds;
-    return s;
-  };
 
   auto loom_on = Loom::Create(workload, lopts);
   auto loom_off = Loom::Create(workload, lopts);
@@ -150,8 +171,6 @@ bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
   // Last-pass recall counters from the memoized run (the partitioner holds
   // the final pass's stats).
   const LoomStats& stats = (*loom_on)->Partitioner().loom_stats();
-  const double sec_on = restream_seconds(res_on);
-  const double sec_off = restream_seconds(res_off);
 
   JsonObject row;
   row.Add("tier", std::string(cfg.file.empty() ? "file-backed-ba"
@@ -161,15 +180,6 @@ bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
   row.Add("num_vertices", file.NumVertices());
   row.Add("num_edges", file.NumEdges());
   row.Add("k", static_cast<uint64_t>(cfg.k));
-  row.Add("partition_seconds", res_on.passes.front().seconds);
-  row.Add("vertices_per_second",
-          res_on.passes.front().seconds > 0
-              ? static_cast<double>(file.NumVertices()) /
-                    res_on.passes.front().seconds
-              : 0.0);
-  row.Add("restream_seconds", sec_on);
-  row.Add("restream_seconds_nomemo", sec_off);
-  row.Add("memo_restream_speedup", sec_on > 0 ? sec_off / sec_on : 0.0);
   row.Add("memo_units", stats.memo_units);
   row.Add("memo_vertices", stats.memo_vertices);
   row.Add("memo_invalidated", stats.memo_invalidated);
@@ -177,9 +187,7 @@ bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
   row.Add("edge_cut_fraction", res_on.edge_cut_fraction);
   row.Add("edge_cut_fraction_nomemo", res_off.edge_cut_fraction);
   row.Add("balance", res_on.passes.back().balance);
-  row.Add("peak_rss_bytes", peak);
   row.Add("rss_ceiling_bytes", rss_ceiling);
-  row.AddRaw("rss_ok", "true");
   rows->push_back(std::move(row));
   return true;
 }
@@ -193,6 +201,8 @@ bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
 bool RunLargeEdgePartitionRows(const LargeConfig& cfg, FileArrivalSource& file,
                                bool generated,
                                std::vector<JsonObject>* rows) {
+  const std::string tier = generated ? "file-backed-ba" : "file-backed-input";
+  std::vector<double> rf;  // hdrf, dbh
   for (const char* name : {"hdrf", "dbh"}) {
     EdgePartitionerOptions eopts;
     eopts.k = cfg.k;
@@ -208,20 +218,13 @@ bool RunLargeEdgePartitionRows(const LargeConfig& cfg, FileArrivalSource& file,
       return false;
     }
     file.Reset();
-    const WallTimer timer;
     (*partitioner)->Run(file);
-    const double seconds = timer.ElapsedSeconds();
 
     const EdgePartitionerStats& stats = (*partitioner)->stats();
-    if (stats.assign_errors != 0 ||
-        stats.edges_assigned != file.NumEdges()) {
-      std::cerr << "run_benchmarks: edge partition contract violated ("
-                << name << ")\n";
-      return false;
-    }
+    if (!CheckEdgeStats(name, stats, file.NumEdges())) return false;
+    rf.push_back(ReplicationFactor((*partitioner)->replicas()));
     JsonObject row;
-    row.Add("tier", std::string(generated ? "file-backed-ba"
-                                          : "file-backed-input"));
+    row.Add("tier", tier);
     row.Add("graph", std::string("barabasi-albert"));
     row.Add("partitioner", std::string(name));
     row.Add("lambda", eopts.lambda);
@@ -229,19 +232,14 @@ bool RunLargeEdgePartitionRows(const LargeConfig& cfg, FileArrivalSource& file,
     row.Add("restream_passes", static_cast<uint64_t>(1));
     row.Add("num_vertices", file.NumVertices());
     row.Add("num_edges", file.NumEdges());
-    row.Add("replication_factor", ReplicationFactor((*partitioner)->replicas()));
+    row.Add("replication_factor", rf.back());
     row.Add("balance", EdgeBalanceMaxOverAvg((*partitioner)->edge_counts()));
-    row.Add("seconds", seconds);
-    row.Add("edges_per_second",
-            seconds > 0 ? static_cast<double>(stats.edges_assigned) / seconds
-                        : 0.0);
     row.Add("overflow_fallbacks", stats.overflow_fallbacks);
     row.Add("cap_relaxations", stats.cap_relaxations);
     row.Add("assign_errors", stats.assign_errors);
-    row.Add("peak_rss_bytes", PeakRssBytes());
     rows->push_back(std::move(row));
   }
-  return true;
+  return CheckHdrfBeatsDbh(tier, rf[0], rf[1]);
 }
 
 bool RunLargeSection(const LargeConfig& cfg, std::vector<JsonObject>* rows,
@@ -250,11 +248,8 @@ bool RunLargeSection(const LargeConfig& cfg, std::vector<JsonObject>* rows,
   const std::string path =
       generated ? cfg.work_dir + "/.bench_large.loomstrm" : cfg.file;
 
-  double generate_seconds = 0.0;
   if (generated) {
-    WallTimer timer;
-    BarabasiAlbertArrivalSource source(static_cast<uint32_t>(cfg.n),
-                                       cfg.degree, LabelConfig{4, 0.0},
+    BarabasiAlbertArrivalSource source(cfg.n, cfg.degree, LabelConfig{4, 0.0},
                                        cfg.seed);
     auto writer = StreamFileWriter::Create(path);
     if (!writer.ok()) {
@@ -269,7 +264,6 @@ bool RunLargeSection(const LargeConfig& cfg, std::vector<JsonObject>* rows,
                 << "\n";
       return false;
     }
-    generate_seconds = timer.ElapsedSeconds();
   }
 
   bool ok = false;
@@ -299,7 +293,6 @@ bool RunLargeSection(const LargeConfig& cfg, std::vector<JsonObject>* rows,
         const uint64_t peak = PeakRssBytes();
         const uint64_t ceiling =
             kLargeRssBaseBytes + kLargeRssPerVertexBytes * file.IdBound();
-        const bool rss_ok = peak > 0 && peak <= ceiling;
         const RestreamPassStats& p1 = r.passes.front();
         const RestreamPassStats& p2 = r.passes.back();
 
@@ -311,10 +304,14 @@ bool RunLargeSection(const LargeConfig& cfg, std::vector<JsonObject>* rows,
           std::cerr << "run_benchmarks: large tier materialised "
                     << restreamer.materializations()
                     << "x O(E) state (out-of-core replay must not)\n";
-        } else if (!rss_ok) {
+        } else if (peak == 0 || peak > ceiling) {
           std::cerr << "run_benchmarks: large tier peak RSS " << peak
                     << " bytes exceeds the O(V) ceiling " << ceiling
                     << " bytes\n";
+        } else if (r.edge_cut_fraction > p1.edge_cut_fraction) {
+          std::cerr << "run_benchmarks: large tier gain pass raised the cut "
+                    << p1.edge_cut_fraction << " -> " << r.edge_cut_fraction
+                    << "\n";
         } else {
           JsonObject row;
           row.Add("tier", std::string(generated ? "file-backed-ba"
@@ -325,21 +322,12 @@ bool RunLargeSection(const LargeConfig& cfg, std::vector<JsonObject>* rows,
           row.Add("num_edges", file.NumEdges());
           row.Add("file_bytes", file.info().file_bytes);
           row.Add("k", static_cast<uint64_t>(cfg.k));
-          row.Add("generate_seconds", generate_seconds);
-          row.Add("partition_seconds", p1.seconds);
-          row.Add("restream_seconds", p2.seconds);
-          row.Add("vertices_per_second",
-                  p1.seconds > 0
-                      ? static_cast<double>(file.NumVertices()) / p1.seconds
-                      : 0.0);
           row.Add("edge_cut_fraction_before", p1.edge_cut_fraction);
           row.Add("edge_cut_fraction_after", r.edge_cut_fraction);
           row.Add("migration_fraction", p2.migration_fraction);
           row.Add("balance", p2.balance);
           row.Add("materializations", restreamer.materializations());
-          row.Add("peak_rss_bytes", peak);
           row.Add("rss_ceiling_bytes", ceiling);
-          row.AddRaw("rss_ok", "true");
           rows->push_back(std::move(row));
           ok = RunLargeLoomRow(cfg, file, ceiling, rows) &&
                RunLargeEdgePartitionRows(cfg, file, generated,
@@ -364,8 +352,8 @@ struct EdgeCutConfig {
 
 // Multi-pass restreaming rows: for ldg, fennel and loom, three gain-ordered
 // passes per graph family, each row one pass with its raw cut, the anytime
-// best cut, balance, migration cost and overflow counters. Later PRs (and
-// the restream ctest suite) regress against the monotone best-cut contract.
+// best cut, balance, migration cost and overflow counters. The restream
+// ctest suite asserts the monotone best-cut contract.
 bool RunRestreamRows(const EdgeCutConfig& cfg, const Workload& workload,
                      std::vector<JsonObject>* rows) {
   for (const GraphKind kind : cfg.kinds) {
@@ -406,8 +394,6 @@ bool RunRestreamRows(const EdgeCutConfig& cfg, const Workload& workload,
         row.Add("overflow_fallbacks", s.overflow_fallbacks);
         row.Add("forced_placements", s.forced_placements);
         row.Add("assign_errors", s.assign_errors);
-        row.Add("seconds", s.seconds);
-        row.Add("peak_rss_bytes", PeakRssBytes());
         rows->push_back(std::move(row));
       }
     }
@@ -421,11 +407,9 @@ bool RunRestreamRows(const EdgeCutConfig& cfg, const Workload& workload,
 
 // Drift rows: the piecewise-stationary scenario (bench/drift_scenario.h),
 // one row per strategy — no-reaction (stale live assignment), the budgeted
-// drift reaction, and the cold multi-pass restream. CI's bench-smoke job
-// asserts the reaction contract on these rows: detector fired and stayed
-// quiet when it should, cut within 2 points of cold, migration <= budget,
-// and no silent capacity pressure (overflow/forced/assign-error counts are
-// in the row, and must be zero).
+// drift reaction, and the cold multi-pass restream. The detector contract
+// is checked here; the reaction contract (cut within 2 points of cold,
+// migration <= budget, zero pressure counters) by DriftScenarioTest.
 bool RunDriftRows(bool fast, std::vector<JsonObject>* rows) {
   DriftScenarioConfig config;
   if (!fast) config.n = 20000;
@@ -440,7 +424,6 @@ bool RunDriftRows(bool fast, std::vector<JsonObject>* rows) {
 
   const auto common = [&](JsonObject* row) {
     row->Add("scenario", std::string("piecewise-stationary"));
-    row->Add("peak_rss_bytes", PeakRssBytes());
     row->Add("max_migration_fraction", r.max_migration_fraction);
     row->Add("fire_tick", static_cast<uint64_t>(r.fire_tick));
     row->Add("stationary_fires", static_cast<uint64_t>(r.stationary_fires));
@@ -453,7 +436,6 @@ bool RunDriftRows(bool fast, std::vector<JsonObject>* rows) {
   none.Add("strategy", std::string("no-reaction"));
   none.Add("edge_cut_fraction", r.cut_no_reaction);
   none.Add("migration_fraction", 0.0);
-  none.Add("seconds", 0.0);
   rows->push_back(std::move(none));
 
   JsonObject reaction;
@@ -461,7 +443,6 @@ bool RunDriftRows(bool fast, std::vector<JsonObject>* rows) {
   reaction.Add("strategy", std::string("drift-reaction"));
   reaction.Add("edge_cut_fraction", r.cut_reaction);
   reaction.Add("migration_fraction", r.migration_reaction);
-  reaction.Add("seconds", r.seconds_reaction);
   reaction.Add("overflow_fallbacks", r.reaction_overflow_fallbacks);
   reaction.Add("forced_placements", r.reaction_forced_placements);
   reaction.Add("assign_errors", r.reaction_assign_errors);
@@ -475,74 +456,15 @@ bool RunDriftRows(bool fast, std::vector<JsonObject>* rows) {
   cold.Add("strategy", std::string("cold-restream"));
   cold.Add("edge_cut_fraction", r.cut_cold);
   cold.Add("migration_fraction", r.migration_cold);
-  cold.Add("seconds", r.seconds_cold);
   rows->push_back(std::move(cold));
-  return true;
-}
-
-// Serving rows: the concurrent serving-under-drift scenario
-// (bench/serving_scenario.h), one row per operation kind — ingest-batch,
-// locate and touches — each carrying its tail latencies plus the shared
-// structural outcomes. CI's bench-smoke job asserts: non-zero query counts,
-// p50 <= p99 <= p999 per row, at least one drift reaction, queries served
-// during it, and zero assign errors.
-bool RunServingRows(bool fast, std::vector<JsonObject>* rows) {
-  ServingScenarioConfig config;
-  if (!fast) config.n = 20000;
-  const ServingScenarioResult r = RunServingScenario(config);
-
-  if (!r.ok) {
-    std::cerr << "run_benchmarks: serving scenario contract violated "
-                 "(reactions="
-              << r.drift_reactions << ", assign_errors=" << r.assign_errors
-              << ", ingested=" << r.ingested_vertices << ")\n";
-    return false;
-  }
-
-  const auto common = [&](JsonObject* row) {
-    row->Add("scenario", std::string("serving-under-drift"));
-    row->Add("peak_rss_bytes", PeakRssBytes());
-    row->Add("num_clients", static_cast<uint64_t>(config.num_clients));
-    row->Add("drift_fires", r.drift_fires);
-    row->Add("drift_reactions", r.drift_reactions);
-    row->Add("queries_during_reaction", r.queries_during_reaction);
-    row->Add("assign_errors", r.assign_errors);
-    row->Add("snapshot_epoch", r.snapshot_epoch);
-  };
-  const auto latency = [](JsonObject* row, const LatencySummary& summary) {
-    row->Add("count", summary.count);
-    row->Add("p50_seconds", summary.p50_seconds);
-    row->Add("p99_seconds", summary.p99_seconds);
-    row->Add("p999_seconds", summary.p999_seconds);
-  };
-
-  JsonObject ingest;
-  common(&ingest);
-  ingest.Add("operation", std::string("ingest-batch"));
-  latency(&ingest, r.ingest_batch_latency);
-  ingest.Add("ingested_vertices", r.ingested_vertices);
-  ingest.Add("vertices_per_second", r.vertices_per_second);
-  rows->push_back(std::move(ingest));
-
-  JsonObject locate;
-  common(&locate);
-  locate.Add("operation", std::string("locate"));
-  latency(&locate, r.locate_latency);
-  rows->push_back(std::move(locate));
-
-  JsonObject touches;
-  common(&touches);
-  touches.Add("operation", std::string("touches"));
-  latency(&touches, r.touches_latency);
-  rows->push_back(std::move(touches));
   return true;
 }
 
 // In-memory edge-partitioning rows: per graph family, HDRF and DBH at
 // lambda in {1.0, 4.0} (DBH ignores lambda; the full matrix keeps rows
-// regular so validators can compare the two at equal settings), plus one
-// budgeted two-pass HDRF restream row per family. Replication factor and
-// balance are the §vertex-cut quality axes; edges/s the throughput axis.
+// regular so they compare at equal settings), plus one budgeted two-pass
+// HDRF restream row per family. Replication factor and balance are the
+// §vertex-cut quality axes.
 bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
                           std::vector<JsonObject>* rows) {
   for (const GraphKind kind : cfg.kinds) {
@@ -560,6 +482,8 @@ bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
         {"hdrf", 1.0, 1}, {"hdrf", 4.0, 1}, {"dbh", 1.0, 1},
         {"dbh", 4.0, 1},  {"hdrf", 1.0, 2},
     };
+    double hdrf_rf = 0.0;
+    double dbh_rf = 0.0;
     for (const Config& config : configs) {
       EdgePartitionerOptions eopts;
       eopts.k = cfg.k;
@@ -579,20 +503,17 @@ bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
       ropts.num_passes = config.passes;
       ropts.max_migration_fraction = 0.25;
       EdgeRestreamer restreamer(&cursor, ropts);
-      const WallTimer timer;
       auto run = restreamer.Run(partitioner->get());
-      const double seconds = timer.ElapsedSeconds();
       if (!run.ok()) {
         std::cerr << "run_benchmarks: edge partition: "
                   << run.status().ToString() << "\n";
         return false;
       }
       const EdgePartitionerStats& stats = (*partitioner)->stats();
-      if (stats.assign_errors != 0 ||
-          stats.edges_assigned != g.NumEdges()) {
-        std::cerr << "run_benchmarks: edge partition contract violated ("
-                  << config.name << ")\n";
-        return false;
+      if (!CheckEdgeStats(config.name, stats, g.NumEdges())) return false;
+      if (config.lambda == 1.0 && config.passes == 1) {
+        double& rf = std::string(config.name) == "hdrf" ? hdrf_rf : dbh_rf;
+        rf = run->replication_factor;
       }
 
       JsonObject row;
@@ -606,11 +527,6 @@ bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
       row.Add("num_edges", static_cast<uint64_t>(g.NumEdges()));
       row.Add("replication_factor", run->replication_factor);
       row.Add("balance", run->balance);
-      row.Add("seconds", seconds);
-      row.Add("edges_per_second",
-              seconds > 0 ? static_cast<double>(stats.edges_assigned) *
-                                static_cast<double>(config.passes) / seconds
-                          : 0.0);
       if (config.passes > 1) {
         row.Add("moved_fraction", run->passes.back().moved_fraction);
         row.Add("best_replication_factor",
@@ -619,8 +535,11 @@ bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
       row.Add("overflow_fallbacks", stats.overflow_fallbacks);
       row.Add("cap_relaxations", stats.cap_relaxations);
       row.Add("assign_errors", stats.assign_errors);
-      row.Add("peak_rss_bytes", PeakRssBytes());
       rows->push_back(std::move(row));
+    }
+    if (kind == GraphKind::kBarabasiAlbert &&
+        !CheckHdrfBeatsDbh("in-memory", hdrf_rf, dbh_rf)) {
+      return false;
     }
   }
   return true;
@@ -667,11 +586,6 @@ bool RunEdgeCutSection(const EdgeCutConfig& cfg, const LargeConfig& large_cfg,
       row.Add("partitioner", r.partitioner);
       row.Add("edge_cut_fraction", r.cut_fraction);
       row.Add("balance", r.balance);
-      row.Add("seconds", r.seconds);
-      row.Add("peak_rss_bytes", PeakRssBytes());
-      const double vps =
-          r.seconds > 0 ? static_cast<double>(r.num_vertices) / r.seconds : 0;
-      row.Add("vertices_per_second", vps);
       row.Add("num_vertices", static_cast<uint64_t>(r.num_vertices));
       row.Add("num_edges", static_cast<uint64_t>(r.num_edges));
       rows.push_back(std::move(row));
@@ -688,9 +602,6 @@ bool RunEdgeCutSection(const EdgeCutConfig& cfg, const LargeConfig& large_cfg,
   std::vector<JsonObject> drift_rows;
   if (!RunDriftRows(mode == "fast", &drift_rows)) return false;
 
-  std::vector<JsonObject> serving_rows;
-  if (!RunServingRows(mode == "fast", &serving_rows)) return false;
-
   if (!RunEdgePartitionRows(cfg, &edge_partition_rows)) return false;
 
   JsonObject config;
@@ -700,24 +611,39 @@ bool RunEdgeCutSection(const EdgeCutConfig& cfg, const LargeConfig& large_cfg,
   config.Add("seed", cfg.seed);
 
   JsonObject root;
-  root.Add("schema", std::string("loom-bench-edge-cut-v9"));
+  root.Add("schema", std::string("loom-bench-edge-cut-v10"));
   root.Add("mode", mode);
   root.AddRaw("config", config.Render(2));
   root.AddRaw("large", RenderArray(large_rows, 2));
   root.AddRaw("results", RenderArray(rows, 2));
   root.AddRaw("restream", RenderArray(restream_rows, 2));
   root.AddRaw("drift", RenderArray(drift_rows, 2));
-  root.AddRaw("serving", RenderArray(serving_rows, 2));
   root.AddRaw("edge_partition", RenderArray(edge_partition_rows, 2));
   return WriteFile(path, root.Render(0));
 }
 
 // --------------------------------------------------------------------- main
 
+// Parses `text` as the value of `flag`: a positive integer below 2^32,
+// digits only. Prints why and returns false otherwise.
+bool ParseCount(const std::string& flag, const char* text, uint32_t* out) {
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (text[0] < '0' || text[0] > '9' || *end != '\0' || value == 0 ||
+      value > UINT32_MAX) {
+    std::cerr << "run_benchmarks: " << flag
+              << " needs a positive integer below 2^32, got '" << text
+              << "'\n";
+    return false;
+  }
+  *out = static_cast<uint32_t>(value);
+  return true;
+}
+
 int Main(int argc, char** argv) {
   bool fast = true;
   std::string out_dir = ".";
-  uint64_t large_n = 0;  // 0 = mode default
+  uint32_t large_n = 0;  // 0 = mode default
   uint32_t large_degree = 10;
   std::string large_file;
   for (int i = 1; i < argc; ++i) {
@@ -729,10 +655,9 @@ int Main(int argc, char** argv) {
     } else if (arg == "--out" && i + 1 < argc) {
       out_dir = argv[++i];
     } else if (arg == "--large-n" && i + 1 < argc) {
-      large_n = std::strtoull(argv[++i], nullptr, 10);
+      if (!ParseCount(arg, argv[++i], &large_n)) return 2;
     } else if (arg == "--large-degree" && i + 1 < argc) {
-      const int parsed = std::atoi(argv[++i]);
-      large_degree = parsed < 1 ? 1 : static_cast<uint32_t>(parsed);
+      if (!ParseCount(arg, argv[++i], &large_degree)) return 2;
     } else if (arg == "--large-file" && i + 1 < argc) {
       large_file = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
@@ -756,55 +681,21 @@ int Main(int argc, char** argv) {
   }
   const std::string mode = fast ? "fast" : "full";
 
-  // Large tier scale: the fast default keeps the section to ~a second while
-  // still exercising the whole file-backed path; --full runs the
-  // LiveJournal-class configuration from the acceptance criteria.
+  // Large tier scale: the fast default keeps the section to well under a
+  // second while still exercising the whole file-backed path; --full runs
+  // the LiveJournal-class configuration.
   LargeConfig large_cfg;
   large_cfg.n = large_n != 0 ? large_n : (fast ? 60000 : 5000000);
   large_cfg.degree = large_degree;
   large_cfg.file = large_file;
   large_cfg.work_dir = out_dir;
 
-  const std::string edge_cut_path = out_dir + "/BENCH_edge_cut.json";
-  const std::string micro_path = out_dir + "/BENCH_micro.json";
-
-  // Sections write to .tmp files which are renamed into place only once
-  // everything succeeded, so a half-failed run neither leaves partial
-  // output nor clobbers an existing baseline.
-  const std::string edge_cut_tmp = edge_cut_path + ".tmp";
-  const std::string micro_tmp = micro_path + ".tmp";
-  const auto fail = [&] {
-    std::remove(edge_cut_tmp.c_str());
-    std::remove(micro_tmp.c_str());
-    return 1;
-  };
-
-  std::cout << "run_benchmarks: edge-cut section (" << mode << ") ...\n";
-  if (!RunEdgeCutSection(cfg, large_cfg, mode, edge_cut_tmp)) {
-    return fail();
-  }
-
-  std::cout << "run_benchmarks: micro section (" << mode << ") ...\n";
-  const std::vector<MicroResult> micro = RunMicroLoops(fast);
-
-  std::cout << "run_benchmarks: throughput section (" << mode << ") ...\n";
-  const std::vector<ThroughputRow> throughput = RunThroughput(fast);
-
-  if (!WriteMicroReport(micro_tmp, mode, micro, throughput)) return fail();
-
-  if (std::rename(edge_cut_tmp.c_str(), edge_cut_path.c_str()) != 0) {
-    std::cerr << "run_benchmarks: failed to move outputs into place\n";
-    return fail();
-  }
-  if (std::rename(micro_tmp.c_str(), micro_path.c_str()) != 0) {
-    // The pair must never be mixed: the first file is already installed, so
-    // remove it — a missing baseline is detectable, mixed vintages are not.
-    std::cerr << "run_benchmarks: failed to move outputs into place\n";
-    std::remove(edge_cut_path.c_str());
-    return fail();
-  }
-  std::cout << "  wrote " << edge_cut_path << "\n";
-  std::cout << "  wrote " << micro_path << "\n";
+  // Every row is collected and checked before the file is written, so a
+  // failed run leaves an existing file untouched.
+  const std::string path = out_dir + "/BENCH_edge_cut.json";
+  std::cout << "run_benchmarks: " << mode << " run ...\n";
+  if (!RunEdgeCutSection(cfg, large_cfg, mode, path)) return 1;
+  std::cout << "  wrote " << path << "\n";
   return 0;
 }
 
