@@ -66,7 +66,12 @@ int main(int argc, char** argv) {
             << FormatPercent(r.reaction_migration) << " in "
             << FormatDouble(r.reaction_seconds, 3) << "s\n";
   std::cout << "Queries answered during the reaction: "
-            << r.queries_during_reaction << " (reads never blocked)\n\n";
+            << r.queries_during_reaction << " (reads never blocked)\n";
+  std::cout << "Reactions were held "
+            << FormatDouble(r.reaction_hold_seconds * 1e3, 3)
+            << " ms in total at their start until a client saw one run; "
+               "batches queued behind a held reaction carry that wait in "
+               "their latency\n\n";
 
   const auto us = [](double seconds) {
     return FormatDouble(seconds * 1e6, 1);

@@ -109,13 +109,33 @@ ServingScenarioResult RunServingScenario(const ServingScenarioConfig& config) {
     batches_completed.fetch_add(1, std::memory_order_release);
   };
 
+  // A reaction lasts a few milliseconds; on a loaded machine it can start
+  // and finish while no client thread is scheduled. So each reaction is
+  // held at its start until some client has read `reaction_running` (once
+  // that has happened, later reactions pass straight through), the clients
+  // stop, or the wait bound expires.
+  std::atomic<bool> stop{false};
+  std::atomic<bool> read_during_reaction{false};
+  std::atomic<int64_t> hold_ns{0};
+  opts.on_reaction_start = [&] {
+    const Clock::time_point begin = Clock::now();
+    while (!read_during_reaction.load(std::memory_order_acquire) &&
+           !stop.load(std::memory_order_acquire) &&
+           SecondsSince(begin) < config.reaction_wait_seconds) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    hold_ns.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          Clock::now() - begin)
+                          .count(),
+                      std::memory_order_relaxed);
+  };
+
   auto created = Service::Create(workload_a, opts);
   if (!created.ok()) return result;  // impossible for the fixed workloads
   Service& service = **created;
 
   // Client threads: Locate / (Touches + ObserveQuery) mix, phase-flipped
   // from A-patterns to B-patterns when half the batches have been sent.
-  std::atomic<bool> stop{false};
   std::atomic<bool> phase_b{false};
   std::vector<ClientLog> logs(config.num_clients);
   std::vector<std::thread> clients;
@@ -147,7 +167,10 @@ ServingScenarioResult RunServingScenario(const ServingScenarioConfig& config) {
           if (!reaction_outstanding) (void)service.ObserveQuery(pattern);
         }
         const ServiceStats stats = service.Stats();
-        if (stats.reaction_running) ++log.during_reaction;
+        if (stats.reaction_running) {
+          ++log.during_reaction;
+          read_during_reaction.store(true, std::memory_order_release);
+        }
         reaction_outstanding = stats.drift_fires > stats.drift_reactions;
       }
     });
@@ -235,6 +258,8 @@ ServingScenarioResult RunServingScenario(const ServingScenarioConfig& config) {
   result.reaction_cut_after = stats.last_reaction_edge_cut_after;
   result.reaction_migration = stats.last_reaction_migration_fraction;
   result.reaction_seconds = stats.last_reaction_seconds;
+  result.reaction_hold_seconds =
+      static_cast<double>(hold_ns.load(std::memory_order_relaxed)) * 1e-9;
 
   result.assign_errors = stats.assign_errors;
   result.snapshots_published = stats.snapshots_published;

@@ -21,9 +21,7 @@ Status LabeledGraph::AddEdge(VertexId u, VertexId v) {
   }
   if (u == v) return Status::InvalidArgument("self-loops are not allowed");
   if (HasEdge(u, v)) return Status::AlreadyExists("duplicate edge");
-  adjacency_[u].push_back(v);
-  adjacency_[v].push_back(u);
-  ++num_edges_;
+  AddNewEdge(u, v);
   return Status::OK();
 }
 
@@ -31,6 +29,13 @@ void LabeledGraph::AddEdgeUnchecked(VertexId u, VertexId v) {
   const Status s = AddEdge(u, v);
   assert(s.ok());
   (void)s;
+}
+
+void LabeledGraph::AddNewEdge(VertexId u, VertexId v) {
+  assert(HasVertex(u) && HasVertex(v) && u != v && !HasEdge(u, v));
+  adjacency_[u].push_back(v);
+  adjacency_[v].push_back(u);
+  ++num_edges_;
 }
 
 void LabeledGraph::SetLabel(VertexId v, Label label) {

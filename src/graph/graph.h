@@ -60,6 +60,16 @@ class LabeledGraph {
   /// Adds {u, v} asserting validity; convenient for fixtures/generators.
   void AddEdgeUnchecked(VertexId u, VertexId v);
 
+  /// Appends the undirected edge {u, v}, which the caller already knows is
+  /// new: both endpoints exist, u != v, and {u, v} is not yet present
+  /// (asserted in debug builds only). O(1) amortised, no `HasEdge` scan —
+  /// the bulk-build path for loaders that dedup on their own
+  /// (`GraphFromStream`). Neighbour order is append order, as for AddEdge.
+  void AddNewEdge(VertexId u, VertexId v);
+
+  /// Reserves room for `n` neighbours of `v`; changes no edge.
+  void ReserveNeighbors(VertexId v, size_t n) { adjacency_[v].reserve(n); }
+
   size_t NumVertices() const { return labels_.size(); }
   size_t NumEdges() const { return num_edges_; }
 

@@ -5,11 +5,14 @@
 namespace loom {
 
 size_t NumCutEdges(const LabeledGraph& g, const PartitionAssignment& a) {
-  size_t cut = 0;
-  g.ForEachEdge([&](VertexId u, VertexId v) {
-    if (a.PartOf(u) != a.PartOf(v)) ++cut;
-  });
-  return cut;
+  // LabeledGraph keeps adjacency symmetric and has no self-loops or parallel
+  // edges, so each edge is two entries that agree on whether it is cut.
+  size_t cut_entries = 0;
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    const int32_t pu = a.PartOf(u);
+    for (const VertexId v : g.Neighbors(u)) cut_entries += pu != a.PartOf(v);
+  }
+  return cut_entries / 2;
 }
 
 double EdgeCutFraction(const LabeledGraph& g, const PartitionAssignment& a) {
@@ -25,10 +28,8 @@ double EdgeCutFraction(ArrivalSource& source, const PartitionAssignment& a) {
   ArrivalView view;
   while (source.Next(&view)) {
     const int32_t pv = a.PartOf(view.vertex);
-    for (const VertexId w : view.back_edges) {
-      ++total;
-      if (pv != a.PartOf(w)) ++cut;
-    }
+    total += view.back_edges.size();
+    for (const VertexId w : view.back_edges) cut += pv != a.PartOf(w);
   }
   if (total == 0) return 0.0;
   return static_cast<double>(cut) / static_cast<double>(total);

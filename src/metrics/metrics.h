@@ -17,7 +17,9 @@
 
 namespace loom {
 
-/// Number of edges whose endpoints are assigned to different partitions.
+/// Number of edges whose endpoints are assigned to different partitions
+/// (an unassigned endpoint counts as partition -1). One O(V + E) sweep of
+/// the adjacency.
 size_t NumCutEdges(const LabeledGraph& g, const PartitionAssignment& a);
 
 /// Cut edges as a fraction of all edges (lambda in the streaming literature).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -162,6 +163,29 @@ class FileReplayCursor : public ArrivalSource {
   uint64_t pos_ = 0;
 };
 
+// Sorts `perm` ascending by (key[v], v) — the order a stable comparison
+// sort by that pair gives, a vertex listed twice kept twice — by counting
+// sort in O(|perm| + |key| + max |key|). Every listed vertex is below
+// key.size(). Scanning ids in ascending order inside each key bucket is
+// the id tie-break.
+void SortByKeyThenId(const std::vector<int32_t>& key,
+                     std::vector<VertexId>* perm) {
+  int32_t max_key = 0;
+  for (const int32_t k : key) max_key = std::max(max_key, std::abs(k));
+  std::vector<uint32_t> copies(key.size(), 0);
+  for (const VertexId v : *perm) ++copies[v];
+  // next[b] starts as the first output slot of bucket b = key + max_key.
+  std::vector<size_t> next(2 * static_cast<size_t>(max_key) + 2, 0);
+  for (VertexId v = 0; v < key.size(); ++v) {
+    next[static_cast<size_t>(key[v] + max_key) + 1] += copies[v];
+  }
+  for (size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+  for (VertexId v = 0; v < key.size(); ++v) {
+    size_t& slot = next[static_cast<size_t>(key[v] + max_key)];
+    for (uint32_t c = 0; c < copies[v]; ++c) (*perm)[slot++] = v;
+  }
+}
+
 }  // namespace
 
 std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
@@ -193,23 +217,24 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
   }
 
   // Prioritized restreaming: gain(v) = edges to v's prior partition minus
-  // edges to its best alternative, over the full (known) neighbourhood.
+  // edges to its best alternative, over the full (known) neighbourhood. The
+  // sort key is an integer in [-max_degree, max_degree].
   const uint32_t k = prior.k();
-  const auto gain_key = [order](double gain) {
+  const auto gain_key = [order](int32_t gain) {
     // Sort key ascending: descending gain, ascending ambivalence, or
     // descending decisiveness (= |gain|).
     switch (order) {
       case RestreamOrder::kGain:
         return -gain;
       case RestreamOrder::kAmbivalence:
-        return std::fabs(gain);
+        return std::abs(gain);
       case RestreamOrder::kDecisive:
-        return -std::fabs(gain);
+        return -std::abs(gain);
       case RestreamOrder::kOriginal:
       case RestreamOrder::kRandom:
         break;  // unreachable: both returned above
     }
-    return 0.0;
+    return 0;
   };
   const auto scored_gain = [&prior, k](VertexId v,
                                        Span<const VertexId> neighbors,
@@ -229,22 +254,22 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
         best_other = std::max(best_other, counts[p]);
       }
     }
-    return static_cast<double>(stay) - static_cast<double>(best_other);
+    return static_cast<int32_t>(stay) - static_cast<int32_t>(best_other);
   };
 
-  std::vector<double> key;
+  std::vector<int32_t> key;
   std::vector<uint32_t> counts(k, 0);
   if (OutOfCore()) {
     // One sequential sweep of the full-neighbourhood records; O(V) keys and
     // O(k) scratch, never the adjacency.
-    key.assign(file_->IdBound(), 0.0);
+    key.assign(file_->IdBound(), 0);
     for (uint64_t i = 0; i < file_->NumVertices(); ++i) {
       const FileArrivalSource::Record record = file_->At(i);
       key[record.vertex] =
           gain_key(scored_gain(record.vertex, record.full_edges, counts));
     }
   } else {
-    key.assign(graph_.NumVertices(), 0.0);
+    key.assign(graph_.NumVertices(), 0);
     for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
       const std::vector<VertexId>& neighbors = graph_.Neighbors(v);
       key[v] = gain_key(scored_gain(
@@ -252,10 +277,7 @@ std::vector<VertexId> Restreamer::PassOrder(RestreamOrder order,
           counts));
     }
   }
-  std::stable_sort(perm.begin(), perm.end(), [&key](VertexId a, VertexId b) {
-    if (key[a] != key[b]) return key[a] < key[b];
-    return a < b;
-  });
+  SortByKeyThenId(key, &perm);
   return perm;
 }
 

@@ -223,7 +223,13 @@ class Restreamer {
   uint64_t materializations() const { return materializations_; }
 
  private:
-  /// The vertex permutation for a pass >= 2.
+  /// The vertex permutation for a pass >= 2: the pass-one arrival order,
+  /// shuffled (kRandom), or — for the prioritized orders — sorted ascending
+  /// by (key, vertex id), where key is an integer in [-Δ, Δ] (Δ = maximum
+  /// degree): -gain (kGain), |gain| (kAmbivalence) or -|gain| (kDecisive).
+  /// A vertex that arrived twice is listed twice. Scoring sweeps the full
+  /// neighbourhoods once and a counting sort orders the keys, so a
+  /// prioritized order costs O(V·k + E + Δ) with no comparison sort.
   std::vector<VertexId> PassOrder(RestreamOrder order,
                                   const PartitionAssignment& prior,
                                   Rng& rng) const;

@@ -288,6 +288,7 @@ Status Service::ObserveQuery(const LabeledGraph& query) {
 void Service::RunReaction(std::unique_ptr<TpstryPP> drifted_trie,
                           MotifDistribution current) {
   reaction_running_.store(true, std::memory_order_release);
+  if (options_.on_reaction_start) options_.on_reaction_start();
   // Drain the assignment window first: SetTrie requires it empty, and the
   // replay prior should cover every ingested vertex.
   partitioner_->Finish();

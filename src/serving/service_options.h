@@ -64,6 +64,12 @@ struct ServiceOptions {
   /// finishes processing (argument: the batch's 0-based sequence number).
   /// Keep it cheap — it runs inside the ingest pipeline.
   std::function<void(uint64_t)> on_batch_processed;
+
+  /// Test/bench hook, called on the pipeline thread as each drift reaction
+  /// starts: after `Stats().reaction_running` reads true, before the
+  /// reaction's work (and its timer). Null = no call. Whatever it waits for
+  /// delays the reaction and every batch queued behind it.
+  std::function<void()> on_reaction_start;
 };
 
 /// Rejects the first invalid field: k == 0, an unknown `partitioner` name,

@@ -181,22 +181,58 @@ GraphStream MakeStreamFromOrder(const LabeledGraph& g,
 }
 
 LabeledGraph GraphFromStream(const GraphStream& stream) {
+  const std::vector<VertexArrival>& arrivals = stream.arrivals();
+  LabeledGraph g;
+  if (arrivals.empty()) return g;
   VertexId max_id = 0;
-  bool any = false;
-  for (const VertexArrival& a : stream.arrivals()) {
+  for (const VertexArrival& a : arrivals) {
     max_id = std::max(max_id, a.vertex);
     for (const VertexId w : a.back_edges) max_id = std::max(max_id, w);
-    any = true;
   }
-  LabeledGraph g;
-  if (!any) return g;
-  for (VertexId v = 0; v <= max_id; ++v) g.AddVertex(0);
-  for (const VertexArrival& a : stream.arrivals()) {
+  const size_t n = static_cast<size_t>(max_id) + 1;
+
+  // Exact degrees, to reserve every list once. An entry {u, w} is counted
+  // only from the later of its endpoints' arrivals (or when w never
+  // arrives), so a back-edge stream and a full-neighbourhood stream both
+  // count each edge once. Repeated entries over-count and one-sided
+  // forward entries under-count; either way this is only a reserve.
+  constexpr uint32_t kNever = ~uint32_t{0};
+  std::vector<uint32_t> arrived_at(n, kNever);
+  for (uint32_t i = 0; i < arrivals.size(); ++i) {
+    uint32_t& at = arrived_at[arrivals[i].vertex];
+    if (at == kNever) at = i;
+  }
+  std::vector<uint32_t> degree(n, 0);
+  for (uint32_t i = 0; i < arrivals.size(); ++i) {
+    const VertexId u = arrivals[i].vertex;
+    for (const VertexId w : arrivals[i].back_edges) {
+      if (w != u && (arrived_at[w] < i || arrived_at[w] == kNever)) {
+        ++degree[u];
+        ++degree[w];
+      }
+    }
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    g.AddVertex(0);
+    g.ReserveNeighbors(v, degree[v]);
+  }
+
+  // Dedup by stamp: mark the arriving vertex's current neighbours, then
+  // append each unmarked, non-self-loop entry (and mark it, which drops a
+  // repeat within the same list). Same edges in the same order as adding
+  // every entry through AddEdge and ignoring its refusals — O(V + E) in
+  // place of an O(min degree) HasEdge scan per entry.
+  std::vector<uint32_t>& stamp = arrived_at;  // reused; mark i + 1 is unique
+  std::fill(stamp.begin(), stamp.end(), 0);
+  for (uint32_t i = 0; i < arrivals.size(); ++i) {
+    const VertexArrival& a = arrivals[i];
+    const uint32_t mark = i + 1;
     g.SetLabel(a.vertex, a.label);
+    for (const VertexId w : g.Neighbors(a.vertex)) stamp[w] = mark;
     for (const VertexId w : a.back_edges) {
-      const Status s = g.AddEdge(a.vertex, w);
-      // Duplicates (full-neighbourhood streams) are tolerated, kept once.
-      (void)s;
+      if (w == a.vertex || stamp[w] == mark) continue;
+      stamp[w] = mark;
+      g.AddNewEdge(a.vertex, w);
     }
   }
   return g;

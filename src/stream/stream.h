@@ -83,10 +83,18 @@ GraphStream MakeStreamFromOrder(const LabeledGraph& g,
 
 /// Rebuilds the labelled graph a back-edge stream was materialised from:
 /// every edge is carried exactly once by its later endpoint, so the union of
-/// arrivals and back edges is (V, E). Duplicate edges are tolerated (kept
-/// once); vertex ids never seen as arrivals get label 0. This is what lets a
+/// arrivals and back edges is (V, E). Duplicate edges (full-neighbourhood
+/// records, repeated entries) are kept once and self-loops dropped; vertex
+/// ids never seen as arrivals get label 0. This is what lets a
 /// restreaming/repartitioning pass reconstruct full neighbourhoods from a
 /// recorded pass-one stream.
+///
+/// O(V + E): each adjacency list is reserved once at its degree (exact for
+/// back-edge and full-neighbourhood streams) and duplicates are dropped by
+/// a per-arrival stamp, not a HasEdge scan. Neighbour order is insertion
+/// order — arrival by arrival, each arrival's entries in list order — the
+/// order `LabeledGraph::AddEdge` over every entry gives, which the
+/// stream-file format's full slices reproduce (docs/FORMATS.md).
 LabeledGraph GraphFromStream(const GraphStream& stream);
 
 }  // namespace loom

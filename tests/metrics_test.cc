@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/generators.h"
 #include "metrics/metrics.h"
 #include "workload/query_builders.h"
 
@@ -26,6 +27,33 @@ TEST(MetricsTest, NoEdgesMeansZeroCut) {
   ASSERT_TRUE(a.Assign(0, 0).ok());
   EXPECT_EQ(NumCutEdges(g, a), 0u);
   EXPECT_EQ(EdgeCutFraction(g, a), 0.0);
+}
+
+// NumCutEdges sweeps both adjacency entries of every edge and halves the
+// count; it must equal a plain count over the edge list, with unassigned
+// endpoints (partition -1, including ids past the assignment's bound)
+// comparing like any other partition.
+TEST(MetricsTest, NumCutEdgesMatchesACountOverEdges) {
+  Rng rng(31);
+  for (int trial = 0; trial < 6; ++trial) {
+    const LabeledGraph g =
+        trial % 2 == 0 ? BarabasiAlbert(300, 3, LabelConfig{2, 0.0}, rng)
+                       : ErdosRenyiGnm(300, 900, LabelConfig{2, 0.0}, rng);
+    const uint32_t k = 2 + static_cast<uint32_t>(trial);
+    PartitionAssignment a(k, 0);
+    // The last 20 ids are never assigned, so they lie past the
+    // assignment's IdBound; the rest are assigned with probability 0.8.
+    for (VertexId v = 0; v + 20 < g.NumVertices(); ++v) {
+      if (rng.Bernoulli(0.8)) {
+        ASSERT_TRUE(a.Assign(v, static_cast<uint32_t>(
+                                    rng.UniformInt(0, k - 1)))
+                        .ok());
+      }
+    }
+    size_t want = 0;
+    for (const Edge& e : g.Edges()) want += a.PartOf(e.u) != a.PartOf(e.v);
+    EXPECT_EQ(NumCutEdges(g, a), want) << "trial " << trial;
+  }
 }
 
 TEST(MetricsTest, BalanceOfPerfectSplit) {

@@ -8,12 +8,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/loom.h"
 #include "graph/generators.h"
+#include "graph/io.h"
 #include "metrics/metrics.h"
 #include "partition/buffered_ldg_partitioner.h"
 #include "partition/fennel_partitioner.h"
@@ -49,6 +54,60 @@ TEST(GraphFromStreamTest, RoundTripsVerticesEdgesAndLabels) {
   g.ForEachEdge([&](VertexId u, VertexId v) {
     EXPECT_TRUE(back.HasEdge(u, v)) << u << "-" << v;
   });
+}
+
+// GraphFromStream dedups with a stamp array and appends known-new edges; the
+// reference adds every entry through AddEdge and ignores its refusals, as
+// the function once did. Repeated back edges, a self-loop, a repeated
+// arrival (with a new label), an edge to a vertex that never arrives and
+// full-neighbourhood records must all give the same neighbour sequences.
+TEST(GraphFromStreamTest, MatchesAnAddEdgeReferenceOnMessyStreams) {
+  Rng rng(15);
+  const LabeledGraph g = BarabasiAlbert(300, 3, LabelConfig{3, 0.0}, rng);
+  const GraphStream back_edges = MakeStream(g, StreamOrder::kRandom, rng);
+
+  std::vector<VertexArrival> full = back_edges.arrivals();
+  for (VertexArrival& a : full) a.back_edges = g.Neighbors(a.vertex);
+
+  std::vector<VertexArrival> messy = back_edges.arrivals();
+  for (size_t i = 0; i < messy.size(); i += 7) {
+    std::vector<VertexId>& edges = messy[i].back_edges;
+    const std::vector<VertexId> copy = edges;
+    edges.insert(edges.end(), copy.rbegin(), copy.rend());  // repeats
+    edges.push_back(messy[i].vertex);                       // self-loop
+  }
+  messy[10].back_edges.push_back(messy[200].vertex);  // forward edge
+  messy[20].back_edges.push_back(
+      static_cast<VertexId>(g.NumVertices() + 4));  // never arrives
+  VertexArrival again = messy[30];                   // repeated arrival
+  again.label = 7;
+  again.back_edges.push_back(messy[40].vertex);
+  messy.push_back(again);
+
+  const GraphStream streams[] = {back_edges, GraphStream(std::move(full)),
+                                 GraphStream(std::move(messy))};
+  for (const GraphStream& stream : streams) {
+    LabeledGraph want;
+    VertexId max_id = 0;
+    for (const VertexArrival& a : stream.arrivals()) {
+      max_id = std::max(max_id, a.vertex);
+      for (const VertexId w : a.back_edges) max_id = std::max(max_id, w);
+    }
+    for (VertexId v = 0; v <= max_id; ++v) want.AddVertex(0);
+    for (const VertexArrival& a : stream.arrivals()) {
+      want.SetLabel(a.vertex, a.label);
+      for (const VertexId w : a.back_edges) (void)want.AddEdge(a.vertex, w);
+    }
+
+    const LabeledGraph got = GraphFromStream(stream);
+    ASSERT_EQ(got.NumVertices(), want.NumVertices());
+    EXPECT_EQ(got.NumEdges(), want.NumEdges());
+    EXPECT_EQ(got.NumLabels(), want.NumLabels());
+    for (VertexId v = 0; v < want.NumVertices(); ++v) {
+      EXPECT_EQ(got.LabelOf(v), want.LabelOf(v)) << "vertex " << v;
+      ASSERT_EQ(got.Neighbors(v), want.Neighbors(v)) << "vertex " << v;
+    }
+  }
 }
 
 TEST(RestreamerTest, ReplayStreamCarriesFullNeighborhoodsOncePerVertex) {
@@ -96,6 +155,91 @@ TEST(RestreamerTest, GainOrderingIsDeterministic) {
   for (size_t i = 0; i < a.arrivals().size(); ++i) {
     EXPECT_EQ(a.arrivals()[i].vertex, b.arrivals()[i].vertex);
   }
+}
+
+// The prioritized orders are a counting sort over integer gain keys; they
+// must equal a stable comparison sort of the arrival order by (key, id)
+// with double keys, as PassOrder once computed it. Low degree, small k and
+// a partial prior make ties the rule; a repeated arrival is kept twice. The
+// out-of-core Restreamer over the same stream gives the same order.
+TEST(RestreamerTest, PrioritizedOrderIsTheStableSortByKeyThenId) {
+  Rng rng(16);
+  const LabeledGraph g = BarabasiAlbert(500, 2, LabelConfig{2, 0.0}, rng);
+  const GraphStream stream = MakeStream(g, StreamOrder::kRandom, rng);
+  std::vector<VertexArrival> repeated = stream.arrivals();
+  repeated.push_back(repeated[123]);
+  repeated.back().back_edges.clear();
+  const GraphStream with_repeat(repeated);
+
+  const uint32_t k = 3;
+  PartitionAssignment prior(k, 0);
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    if (rng.Bernoulli(0.75)) {
+      ASSERT_TRUE(
+          prior.Assign(v, static_cast<uint32_t>(rng.UniformInt(0, k - 1)))
+              .ok());
+    }
+  }
+  std::vector<double> gain(g.NumVertices());
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    std::vector<uint32_t> counts(k, 0);
+    for (const VertexId w : g.Neighbors(v)) {
+      if (prior.PartOf(w) >= 0) ++counts[prior.PartOf(w)];
+    }
+    uint32_t stay = 0;
+    uint32_t best_other = 0;
+    for (uint32_t p = 0; p < k; ++p) {
+      if (static_cast<int32_t>(p) == prior.PartOf(v)) {
+        stay = counts[p];
+      } else {
+        best_other = std::max(best_other, counts[p]);
+      }
+    }
+    gain[v] = static_cast<double>(stay) - static_cast<double>(best_other);
+  }
+
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "loom_pass_order.loomstrm")
+          .string();
+  ASSERT_TRUE(WriteStreamFile(stream, path).ok());
+  auto file = FileArrivalSource::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+
+  for (const RestreamOrder order :
+       {RestreamOrder::kGain, RestreamOrder::kAmbivalence,
+        RestreamOrder::kDecisive}) {
+    std::vector<double> key(g.NumVertices());
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      key[v] = order == RestreamOrder::kGain          ? -gain[v]
+               : order == RestreamOrder::kAmbivalence ? std::fabs(gain[v])
+                                                      : -std::fabs(gain[v]);
+    }
+    const auto reference = [&key](const GraphStream& s) {
+      std::vector<VertexId> perm;
+      for (const VertexArrival& a : s.arrivals()) perm.push_back(a.vertex);
+      std::stable_sort(perm.begin(), perm.end(),
+                       [&key](VertexId a, VertexId b) {
+                         if (key[a] != key[b]) return key[a] < key[b];
+                         return a < b;
+                       });
+      return perm;
+    };
+    const auto replayed = [&](const Restreamer& restreamer) {
+      Rng order_rng(1);
+      const GraphStream replay =
+          restreamer.ReplayStream(order, prior, order_rng);
+      std::vector<VertexId> perm;
+      for (const VertexArrival& a : replay.arrivals()) perm.push_back(a.vertex);
+      return perm;
+    };
+    const std::string name = RestreamOrderName(order);
+    EXPECT_EQ(replayed(Restreamer(stream, {})), reference(stream)) << name;
+    EXPECT_EQ(replayed(Restreamer(with_repeat, {})), reference(with_repeat))
+        << name << ", repeated arrival";
+    EXPECT_EQ(replayed(Restreamer(file->get(), {})), reference(stream))
+        << name << ", out of core";
+  }
+  std::remove(path.c_str());
 }
 
 // The heart of ReLDG: a neighbour not yet re-assigned this pass scores with

@@ -24,7 +24,8 @@
 // nothing and its gain pass does not raise the ldg cut; no restream pass
 // forces a placement past capacity; the drift detector fires only during
 // the drift; no edge-partition row has an assign error or a cap relaxation;
-// and HDRF replicates no more than DBH on every Barabási–Albert tier.
+// and HDRF replicates no more than DBH on the in-memory Barabási–Albert
+// family and on the file-backed tier (with --large-file, on the given file).
 
 #include <cstdint>
 #include <cstdio>
@@ -64,11 +65,11 @@ bool CheckEdgeStats(const std::string& name, const EdgePartitionerStats& stats,
 
 // HDRF's degree-aware scoring must not replicate more than plain degree
 // hashing on the power-law family at the same lambda.
-bool CheckHdrfBeatsDbh(const std::string& tier, double hdrf_rf, double dbh_rf) {
+bool CheckHdrfBeatsDbh(const std::string& where, double hdrf_rf,
+                       double dbh_rf) {
   if (hdrf_rf <= dbh_rf) return true;
-  std::cerr << "run_benchmarks: " << tier << " barabasi-albert: HDRF "
-            << "replication factor " << hdrf_rf << " exceeds DBH's " << dbh_rf
-            << "\n";
+  std::cerr << "run_benchmarks: " << where << ": HDRF replication factor "
+            << hdrf_rf << " exceeds DBH's " << dbh_rf << "\n";
   return false;
 }
 
@@ -107,11 +108,12 @@ constexpr uint64_t kLargeRssBaseBytes = 256ull << 20;
 constexpr uint64_t kLargeRssPerVertexBytes = 80;
 
 // The workload-aware row of the large tier: LOOM through the same
-// out-of-core replay, three original-order passes with cluster memoization
-// on vs off (A/B on the identical file), reporting the cuts of both and the
-// recall counters. Runs under the same O(V) peak-RSS ceiling as the ldg
-// row — the memo structures (log, fingerprints, unit index, grouped
-// permutation) are all O(V) by design.
+// out-of-core replay, three original-order passes with cluster memoization,
+// reporting the cuts and the recall counters. Runs under the same O(V)
+// peak-RSS ceiling as the ldg row — the memo structures (log, fingerprints,
+// unit index, grouped permutation) are all O(V) by design. (Memo-off
+// placements equal memo-on ones; MemoEquivalence in cluster_memo_test pins
+// that.)
 bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
                      uint64_t rss_ceiling, std::vector<JsonObject>* rows) {
   Workload workload;
@@ -131,22 +133,17 @@ bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
   lopts.partitioner.window_size = 256;
   lopts.matcher.frequency_threshold = 0.2;
 
-  RestreamOptions on;
-  on.num_passes = 3;
-  on.order = RestreamOrder::kOriginal;
-  RestreamOptions off = on;
-  off.memoize_clusters = false;
+  RestreamOptions ropts;
+  ropts.num_passes = 3;
+  ropts.order = RestreamOrder::kOriginal;
 
-  auto loom_on = Loom::Create(workload, lopts);
-  auto loom_off = Loom::Create(workload, lopts);
-  if (!loom_on.ok() || !loom_off.ok()) {
+  auto loom = Loom::Create(workload, lopts);
+  if (!loom.ok()) {
     std::cerr << "run_benchmarks: large tier loom creation failed\n";
     return false;
   }
-  const Restreamer r_on(&file, on);
-  const RestreamResult res_on = r_on.Run(&(*loom_on)->Partitioner());
-  const Restreamer r_off(&file, off);
-  const RestreamResult res_off = r_off.Run(&(*loom_off)->Partitioner());
+  const Restreamer restreamer(&file, ropts);
+  const RestreamResult res = restreamer.Run(&(*loom)->Partitioner());
 
   const uint64_t peak = PeakRssBytes();
   if (peak == 0 || peak > rss_ceiling) {
@@ -155,38 +152,35 @@ bool RunLargeLoomRow(const LargeConfig& cfg, FileArrivalSource& file,
               << " bytes\n";
     return false;
   }
-  if (r_on.materializations() != 0 || r_off.materializations() != 0) {
+  if (restreamer.materializations() != 0) {
     std::cerr << "run_benchmarks: large tier (loom) materialised O(E) state "
                  "(out-of-core replay must not)\n";
     return false;
   }
-  for (const RestreamResult* r : {&res_on, &res_off}) {
-    for (const RestreamPassStats& p : r->passes) {
-      if (p.assign_errors != 0) {
-        std::cerr << "run_benchmarks: large tier (loom) assign errors\n";
-        return false;
-      }
+  for (const RestreamPassStats& p : res.passes) {
+    if (p.assign_errors != 0) {
+      std::cerr << "run_benchmarks: large tier (loom) assign errors\n";
+      return false;
     }
   }
-  // Last-pass recall counters from the memoized run (the partitioner holds
-  // the final pass's stats).
-  const LoomStats& stats = (*loom_on)->Partitioner().loom_stats();
+  // Last-pass recall counters (the partitioner holds the final pass's
+  // stats).
+  const LoomStats& stats = (*loom)->Partitioner().loom_stats();
 
   JsonObject row;
   row.Add("tier", std::string(cfg.file.empty() ? "file-backed-ba"
                                                : "file-backed-input"));
   row.Add("partitioner", std::string("loom"));
-  row.Add("ordering", RestreamOrderName(on.order));
+  row.Add("ordering", RestreamOrderName(ropts.order));
   row.Add("num_vertices", file.NumVertices());
   row.Add("num_edges", file.NumEdges());
   row.Add("k", static_cast<uint64_t>(cfg.k));
   row.Add("memo_units", stats.memo_units);
   row.Add("memo_vertices", stats.memo_vertices);
   row.Add("memo_invalidated", stats.memo_invalidated);
-  row.Add("edge_cut_fraction_pass1", res_on.passes.front().edge_cut_fraction);
-  row.Add("edge_cut_fraction", res_on.edge_cut_fraction);
-  row.Add("edge_cut_fraction_nomemo", res_off.edge_cut_fraction);
-  row.Add("balance", res_on.passes.back().balance);
+  row.Add("edge_cut_fraction_pass1", res.passes.front().edge_cut_fraction);
+  row.Add("edge_cut_fraction", res.edge_cut_fraction);
+  row.Add("balance", res.passes.back().balance);
   row.Add("rss_ceiling_bytes", rss_ceiling);
   rows->push_back(std::move(row));
   return true;
@@ -225,7 +219,7 @@ bool RunLargeEdgePartitionRows(const LargeConfig& cfg, FileArrivalSource& file,
     rf.push_back(ReplicationFactor((*partitioner)->replicas()));
     JsonObject row;
     row.Add("tier", tier);
-    row.Add("graph", std::string("barabasi-albert"));
+    row.Add("graph", std::string(generated ? "barabasi-albert" : "input"));
     row.Add("partitioner", std::string(name));
     row.Add("lambda", eopts.lambda);
     row.Add("k", static_cast<uint64_t>(cfg.k));
@@ -538,7 +532,7 @@ bool RunEdgePartitionRows(const EdgeCutConfig& cfg,
       rows->push_back(std::move(row));
     }
     if (kind == GraphKind::kBarabasiAlbert &&
-        !CheckHdrfBeatsDbh("in-memory", hdrf_rf, dbh_rf)) {
+        !CheckHdrfBeatsDbh("in-memory barabasi-albert", hdrf_rf, dbh_rf)) {
       return false;
     }
   }
